@@ -14,6 +14,8 @@ import heapq
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .grid import Cell, OccupancyGrid
 
 SQRT2 = math.sqrt(2.0)
@@ -77,27 +79,49 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
         raise NoPathError(f"endpoint blocked: start={start} goal={goal}")
 
     res = grid.resolution
-    g = {start: 0.0}
-    parent: dict[Cell, Cell] = {}
+    # Search on flat indices into the grid padded by one blocked cell on
+    # every side, so neighbor lookups need no bounds checks.
+    width = grid.nx + 2
+    free = bytearray(np.pad(~grid.occupied, 1).tobytes())
+    # (offset, step cost, the two cardinal cells a diagonal must not cut);
+    # cardinal moves re-check their own cell (offset 0), which is free.
+    moves = tuple(
+        (dy * width + dx, res * SQRT2, dx, dy * width) if dx and dy
+        else (dy * width + dx, res, 0, 0)
+        for dx, dy in NEIGHBOR_OFFSETS
+    )
+    src = (start[1] + 1) * width + start[0] + 1
+    dst = (goal[1] + 1) * width + goal[0] + 1
+    # Octile heuristic of every padded cell, with octile()'s arithmetic.
+    dist_x = np.abs(np.arange(-1, width - 1) - goal[0])
+    dist_y = np.abs(np.arange(-1, grid.ny + 1) - goal[1])[:, None]
+    h = (res * (np.maximum(dist_x, dist_y)
+                + (SQRT2 - 1.0) * np.minimum(dist_x, dist_y))).ravel().tolist()
+    g = [math.inf] * len(free)
+    g[src] = 0.0
+    parent: dict[int, int] = {}
+    closed = bytearray(len(free))
     counter = 0
-    open_heap = [(octile(start, goal, res), counter, start)]
-    closed: set[Cell] = set()
+    open_heap = [(h[src], counter, src)]
+    heappush, heappop = heapq.heappush, heapq.heappop
     while open_heap:
-        _, _, cur = heapq.heappop(open_heap)
-        if cur in closed:
+        cur = heappop(open_heap)[2]
+        if closed[cur]:
             continue
-        if cur == goal:
-            return _extract(grid, parent, start, goal, g[goal])
-        closed.add(cur)
-        for nxt, step in grid_neighbors(grid, cur):
-            if nxt in closed:
+        if cur == dst:
+            return _extract(grid, parent, src, dst)
+        closed[cur] = 1
+        g_cur = g[cur]
+        for offset, step, side_a, side_b in moves:
+            nxt = cur + offset
+            if closed[nxt] or not (free[nxt] and free[cur + side_a] and free[cur + side_b]):
                 continue
-            cand = g[cur] + step
-            if cand < g.get(nxt, math.inf) - 1e-12:
+            cand = g_cur + step
+            if cand < g[nxt] - 1e-12:
                 g[nxt] = cand
                 parent[nxt] = cur
                 counter += 1
-                heapq.heappush(open_heap, (cand + octile(nxt, goal, res), counter, nxt))
+                heappush(open_heap, (cand + h[nxt], counter, nxt))
     raise NoPathError(f"goal unreachable: start={start} goal={goal}")
 
 
@@ -143,16 +167,20 @@ def smooth_path(grid: OccupancyGrid, path: PlannedPath) -> PlannedPath:
     return PlannedPath(waypoints=waypoints, cells=cells, cost=cost)
 
 
-def _extract(grid: OccupancyGrid, parent: dict[Cell, Cell], start: Cell,
-             goal: Cell, cost: float) -> PlannedPath:
-    cells = [goal]
-    while cells[-1] != start:
-        cells.append(parent[cells[-1]])
-    cells.reverse()
-    waypoints = tuple(grid.cell_to_world(c) for c in cells)
-    # Canonicalize the cost from step counts: optimal n_cardinal/n_diagonal
-    # pairs are unique, so equal-cost planners agree bit for bit.
+def canonical_cost(cells: tuple[Cell, ...], resolution: float) -> float:
+    """Path cost from step counts: optimal n_cardinal/n_diagonal pairs are
+    unique, so equal-cost planners agree bit for bit."""
     diag = sum(1 for a, b in zip(cells, cells[1:]) if a[0] != b[0] and a[1] != b[1])
     straight = len(cells) - 1 - diag
-    canonical = grid.resolution * straight + grid.resolution * SQRT2 * diag
-    return PlannedPath(waypoints=waypoints, cells=tuple(cells), cost=canonical)
+    return resolution * straight + resolution * SQRT2 * diag
+
+
+def _extract(grid: OccupancyGrid, parent: dict[int, int], src: int, dst: int) -> PlannedPath:
+    flat = [dst]
+    while flat[-1] != src:
+        flat.append(parent[flat[-1]])
+    width = grid.nx + 2
+    cells = tuple((n % width - 1, n // width - 1) for n in reversed(flat))
+    waypoints = tuple(grid.cell_to_world(c) for c in cells)
+    return PlannedPath(waypoints=waypoints, cells=cells,
+                       cost=canonical_cost(cells, grid.resolution))

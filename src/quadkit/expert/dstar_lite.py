@@ -17,18 +17,10 @@ import heapq
 import itertools
 import math
 
-from .astar import NoPathError, PlannedPath, SQRT2, grid_neighbors, octile
+from .astar import NoPathError, PlannedPath, canonical_cost, grid_neighbors, octile
 from .grid import Cell, OccupancyGrid
 
 _INF = math.inf
-
-
-def canonical_cost(cells: tuple[Cell, ...], resolution: float) -> float:
-    diag = sum(
-        1 for a, b in zip(cells, cells[1:]) if a[0] != b[0] and a[1] != b[1]
-    )
-    straight = len(cells) - 1 - diag
-    return resolution * straight + resolution * SQRT2 * diag
 
 
 class DStarLitePlanner:

@@ -13,21 +13,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from ..config import SimConfig
 from ..world.entities import Entity, EntityKind, SOLID_KINDS
 from ..world.scene import Scene
 
 Cell = tuple[int, int]
-
-
-def _disk(radius_cells: int) -> np.ndarray:
-    if radius_cells <= 0:
-        return np.ones((1, 1), dtype=bool)
-    span = np.arange(-radius_cells, radius_cells + 1)
-    yy, xx = np.meshgrid(span, span, indexing="ij")
-    return xx * xx + yy * yy <= radius_cells * radius_cells
 
 
 @dataclass(frozen=True)
@@ -87,9 +78,21 @@ class OccupancyGrid:
         return OccupancyGrid(self.origin, self.resolution, grid)
 
     def inflate(self, radius: float) -> "OccupancyGrid":
-        """Dilate occupancy by a disk of the given metric radius."""
-        cells = int(math.ceil(radius / self.resolution))
-        dilated = ndimage.binary_dilation(self.occupied, structure=_disk(cells))
+        """Dilate occupancy by a disk of the given metric radius; cells
+        beyond the border count as free."""
+        r = max(0, int(math.ceil(radius / self.resolution)))
+        src = self.occupied
+        rows = [src]  # rows[w]: src OR-ed over the horizontal shifts -w..w
+        for w in range(1, r + 1):
+            row = rows[-1].copy()
+            row[:, w:] |= src[:, :-w]
+            row[:, :-w] |= src[:, w:]
+            rows.append(row)
+        dilated = rows[r].copy()
+        for dy in range(1, r + 1):  # the disk's row at dy spans |dx| <= isqrt(r^2 - dy^2)
+            row = rows[math.isqrt(r * r - dy * dy)]
+            dilated[dy:] |= row[:-dy]
+            dilated[:-dy] |= row[dy:]
         return OccupancyGrid(self.origin, self.resolution, dilated)
 
     def nearest_free(self, cell: Cell, max_radius_cells: int = 40) -> Cell:
@@ -116,15 +119,23 @@ class OccupancyGrid:
 def _rasterize_box(mask: np.ndarray, grid: OccupancyGrid, center: tuple[float, float],
                    half_extents: tuple[float, float], yaw: float) -> None:
     res = grid.resolution
-    xs = grid.origin[0] + (np.arange(grid.nx) + 0.5) * res
-    ys = grid.origin[1] + (np.arange(grid.ny) + 0.5) * res
-    gx, gy = np.meshgrid(xs, ys)
     c, s = math.cos(-yaw), math.sin(-yaw)
-    u = (gx - center[0]) * c - (gy - center[1]) * s
-    v = (gx - center[0]) * s + (gy - center[1]) * c
     # Any cell whose center lies within half a cell of the box is blocked.
     pad = res / 2.0
-    mask |= (np.abs(u) <= half_extents[0] + pad) & (np.abs(v) <= half_extents[1] + pad)
+    hx, hy = half_extents[0] + pad, half_extents[1] + pad
+    # Test only the cells within the padded box's axis-aligned bounds, plus
+    # one cell of slack for rounding.
+    ex, ey = abs(c) * hx + abs(s) * hy + res, abs(s) * hx + abs(c) * hy + res
+    ix0, iy0 = grid.world_to_cell(center[0] - ex, center[1] - ey)
+    ix1, iy1 = grid.world_to_cell(center[0] + ex, center[1] + ey)
+    ix0, iy0 = max(ix0, 0), max(iy0, 0)
+    ix1, iy1 = max(ix0, min(ix1 + 1, grid.nx)), max(iy0, min(iy1 + 1, grid.ny))
+    xs = grid.origin[0] + (np.arange(ix0, ix1) + 0.5) * res
+    ys = grid.origin[1] + (np.arange(iy0, iy1) + 0.5) * res
+    gx, gy = np.meshgrid(xs, ys)
+    u = (gx - center[0]) * c - (gy - center[1]) * s
+    v = (gx - center[0]) * s + (gy - center[1]) * c
+    mask[iy0:iy1, ix0:ix1] |= (np.abs(u) <= hx) & (np.abs(v) <= hy)
 
 
 def _rasterize_entity(mask: np.ndarray, grid: OccupancyGrid, ent: Entity) -> None:

@@ -131,6 +131,17 @@ def _catalog() -> tuple[dict[str, Template], dict[SpeedLevel, str]]:
     return templates, speed_phrases
 
 
+@functools.lru_cache(maxsize=1)
+def _parsers() -> tuple[tuple[tuple[Template, re.Pattern], ...], dict[str, SpeedLevel]]:
+    """Templates in parse order, each with its compiled regex, and the map
+    from speed phrase back to speed level."""
+    templates, phrases = _catalog()
+    ordered = sorted(templates.values(), key=lambda t: (-t.literal_length(), t.id))
+    speed_phrases = tuple(phrases.values())
+    parsers = tuple((tpl, tpl.regex(speed_phrases)) for tpl in ordered)
+    return parsers, {v: k for k, v in phrases.items()}
+
+
 def all_templates() -> tuple[Template, ...]:
     templates, _ = _catalog()
     return tuple(templates.values())
@@ -204,14 +215,10 @@ def parse_instruction(text: str) -> Instruction:
     wording is never swallowed by the plain go-to object slot.  The split tag
     of the returned spec is always the default; text does not encode it.
     """
-    templates, phrases = _catalog()
-    speed_by_phrase = {v: k for k, v in phrases.items()}
+    parsers, speed_by_phrase = _parsers()
     normalized = _normalize(text)
-    ordered = sorted(
-        templates.values(), key=lambda t: (-t.literal_length(), t.id)
-    )
-    for tpl in ordered:
-        m = tpl.regex(tuple(phrases.values())).fullmatch(normalized)
+    for tpl, regex in parsers:
+        m = regex.fullmatch(normalized)
         if m is None:
             continue
         obj = _parse_object_phrase(m.group("object"), tpl.skill)
@@ -224,6 +231,7 @@ def parse_instruction(text: str) -> Instruction:
             gait=GaitName(m.group("gait")),
         )
         return Instruction(text=normalized, spec=spec, template_id=tpl.id)
+    templates, phrases = _catalog()
     skeletons = {
         tpl.render("object", phrases[SpeedLevel.NORMAL], "trot"): tpl.id
         for tpl in templates.values()

@@ -1,7 +1,8 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately re-derive results from first principles (textbook
-Dijkstra over the same movement rule, pinhole projection area) instead of
+Dijkstra over the same movement rule, a disk stamped around every occupied
+cell, pinhole projection area) instead of
 calling the code under test, so agreement is evidence of correctness rather
 than tautology.
 """
@@ -56,6 +57,42 @@ def dijkstra_cost(grid: OccupancyGrid, start, goal) -> float | None:
                     best[nxt] = nkey
                     heapq.heappush(heap, (nkey, ns, nd, nxt))
     return None
+
+
+def dilate_disk(occupied: np.ndarray, radius_cells: int) -> np.ndarray:
+    """Mark every cell within Euclidean distance ``radius_cells`` of an
+    occupied cell, by stamping the disk around each occupied cell in turn.
+
+    Stamps that fall outside the grid are dropped: there is nothing beyond
+    the border to block.
+    """
+    ny, nx = occupied.shape
+    out = np.zeros((ny, nx), dtype=bool)
+    r = radius_cells
+    for oy, ox in zip(*np.nonzero(occupied)):
+        for dy in range(-r, r + 1):
+            for dx in range(-r, r + 1):
+                y, x = oy + dy, ox + dx
+                if dx * dx + dy * dy <= r * r and 0 <= y < ny and 0 <= x < nx:
+                    out[y, x] = True
+    return out
+
+
+def box_cells(grid: OccupancyGrid, center, half_extents, yaw: float) -> np.ndarray:
+    """Cells whose center lies within half a cell of a rotated box, testing
+    every cell of the grid in the box's own frame."""
+    res = grid.resolution
+    c, s = math.cos(-yaw), math.sin(-yaw)
+    out = np.zeros((grid.ny, grid.nx), dtype=bool)
+    for iy in range(grid.ny):
+        for ix in range(grid.nx):
+            x = grid.origin[0] + (ix + 0.5) * res
+            y = grid.origin[1] + (iy + 0.5) * res
+            u = (x - center[0]) * c - (y - center[1]) * s
+            v = (x - center[0]) * s + (y - center[1]) * c
+            out[iy, ix] = (abs(u) <= half_extents[0] + res / 2.0
+                           and abs(v) <= half_extents[1] + res / 2.0)
+    return out
 
 
 def random_grid(rng: np.random.Generator, nx: int = 16, ny: int = 16,

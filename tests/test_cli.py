@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import quadkit
 from quadkit.cli import _desk_plan, main
 from quadkit.config import FULL_SCALE_PLAN, PLAN_DIVISOR
 from quadkit.store import EpisodeStore
@@ -192,3 +196,13 @@ def test_stats_svg_artifact(tmp_path):
                       "--svg", str(svg_path))
     assert code == 0
     assert svg_path.read_text().startswith("<svg")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is not a dependency: importing the CLI in a fresh interpreter
+    # must not pull it in.
+    env = dict(os.environ, PYTHONPATH=str(Path(quadkit.__file__).resolve().parents[1]))
+    probe = "import sys, quadkit.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "False"

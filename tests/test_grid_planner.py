@@ -16,7 +16,9 @@ from quadkit.expert import (
 )
 from quadkit.expert.astar import SQRT2
 
-from oracles import dijkstra_cost, random_grid
+from quadkit.expert.grid import _rasterize_box
+
+from oracles import box_cells, dijkstra_cost, dilate_disk, random_grid
 
 
 def empty_grid(n: int = 12, res: float = 0.05) -> OccupancyGrid:
@@ -100,6 +102,36 @@ def test_inflate_blocks_exactly_a_euclidean_disk():
         for iy in range(11):
             inside = (ix - 5) ** 2 + (iy - 5) ** 2 <= 4
             assert grid.occupied[iy, ix] == inside, (ix, iy)
+
+
+def test_inflate_matches_brute_force_disk_on_random_masks():
+    rng = np.random.default_rng(4242)
+    res = 0.25  # a power of two, so radius / resolution is exact
+    for ny, nx in ((13, 17), (20, 9), (3, 5), (1, 6)):
+        for _ in range(3):
+            occupied = rng.random((ny, nx)) < 0.08
+            # Obstacles on all four borders exercise the out-of-grid edge.
+            occupied[0, rng.integers(0, nx)] = True
+            occupied[-1, rng.integers(0, nx)] = True
+            occupied[rng.integers(0, ny), 0] = True
+            occupied[rng.integers(0, ny), -1] = True
+            grid = OccupancyGrid((0.0, 0.0), res, occupied)
+            for r in range(9):
+                assert np.array_equal(grid.inflate(r * res).occupied,
+                                      dilate_disk(occupied, r)), (ny, nx, r)
+
+
+def test_box_rasterization_matches_per_cell_test():
+    # Boxes inside, straddling and beyond every border, axis-aligned and rotated.
+    rng = np.random.default_rng(515)
+    grid = OccupancyGrid((-0.4, 0.3), 0.05, np.zeros((17, 23), dtype=bool))
+    for k in range(120):
+        center = (float(rng.uniform(-0.9, 1.3)), float(rng.uniform(-0.2, 1.4)))
+        half = (float(rng.uniform(0.0, 0.4)), float(rng.uniform(0.0, 0.4)))
+        yaw = float(rng.uniform(-math.pi, math.pi)) if k % 2 else (k % 4) * math.pi / 2
+        mask = np.zeros((grid.ny, grid.nx), dtype=bool)
+        _rasterize_box(mask, grid, center, half, yaw)
+        assert np.array_equal(mask, box_cells(grid, center, half, yaw)), (center, half, yaw)
 
 
 def test_nearest_free_prefers_smallest_euclidean_distance():
