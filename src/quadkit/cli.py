@@ -3,8 +3,9 @@
 Subcommands: collect (scripted episodes into a store), stats, eval, render,
 import-real, validate. Reads an optional run config from --config or the
 QUARD_CONFIG environment variable. Exit codes: 0 on success, 1 on an
-operational failure (bad store, no path, malformed input), 2 on usage errors
-(argparse handles those). All logs go to stderr; result tables go to stdout.
+operational failure (bad store, no path, malformed input; -v adds its
+traceback), 2 on usage errors (argparse handles those). All logs go to
+stderr; result tables go to stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import json
 import logging
 import os
 import sys
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -301,7 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "episodes, inspect stores, and evaluate policies.",
     )
     parser.add_argument("--config", help=f"run config JSON (or ${CONFIG_ENV_VAR})")
-    parser.add_argument("-v", "--verbose", action="store_true", help="info logs to stderr")
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="info logs and error tracebacks to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("collect", help="generate scripted episodes into a store")
@@ -360,6 +363,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except OPERATIONAL_ERRORS as exc:
+        if args.verbose:
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

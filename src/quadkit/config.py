@@ -219,28 +219,32 @@ def _to_jsonable(obj):
     return obj
 
 
-_SECTION_TYPES = {"sim": SimConfig, "scene": SceneConfig, "expert": ExpertConfig}
-_NESTED = {
-    "rates": RateConfig, "slew": SlewConfig, "camera": CameraConfig,
-    "gains": PDGains, "bands": SpeedBands,
-}
+def _from_jsonable(value):
+    if isinstance(value, list):
+        return tuple(_from_jsonable(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _from_jsonable(v) for k, v in value.items()}
+    return value
 
 
-def _build_section(cls, data: dict):
+def _build(cls, data, path: str = ""):
+    """``cls`` from its JSON form; nested config types come from the defaults.
+
+    Raises ValueError naming the dotted path of the first unknown key.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"{path.rstrip('.') or 'config'} must be a JSON object")
+    default = cls()
+    names = {f.name for f in dataclasses.fields(cls)}
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        if f.name not in data:
-            continue
-        value = data[f.name]
-        if f.name in _NESTED:
-            value = _NESTED[f.name](**{
-                k: tuple(v) if isinstance(v, list) else v for k, v in value.items()
-            })
-        elif isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        elif isinstance(value, dict) and f.name in ("shape_dims", "furniture_dims"):
-            value = {k: tuple(v) for k, v in value.items()}
-        kwargs[f.name] = value
+    for key, value in data.items():
+        if key not in names:
+            raise ValueError(f"unknown config key '{path}{key}'")
+        nested = getattr(default, key)
+        if dataclasses.is_dataclass(nested):
+            kwargs[key] = _build(type(nested), value, f"{path}{key}.")
+        else:
+            kwargs[key] = _from_jsonable(value)
     return cls(**kwargs)
 
 
@@ -249,9 +253,4 @@ def save_config(cfg: RunConfig, path: str | Path) -> None:
 
 
 def load_config(path: str | Path) -> RunConfig:
-    data = json.loads(Path(path).read_text())
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in data:
-            sections[name] = _build_section(cls, data[name])
-    return RunConfig(**sections)
+    return _build(RunConfig, json.loads(Path(path).read_text()))

@@ -2,10 +2,11 @@
 
 A suite is a fixed list of (task, scene seed, template) entries, built
 deterministically from per-task budgets. The harness rolls each entry in the
-simulator, feeding the policy rendered observations and the instruction text
-and executing its detokenized commands until the simulator reaches a
-terminal status, the policy raises its terminate token, or the policy
-misbehaves. Every episode lands in exactly one outcome bucket:
+simulator: it binds the policy to the episode's simulator (a hook only the
+privileged oracle reads), then feeds it rendered observations and the
+instruction text and executes its detokenized commands until the simulator
+reaches a terminal status, the policy raises its terminate token, or the
+policy misbehaves. Every episode lands in exactly one outcome bucket:
 
     success       simulator reported the task criterion met
     collision     hit geometry or left the arena
@@ -177,12 +178,9 @@ class EvalReport:
 
 def _roll_entry(policy: Policy, entry: EvalEntry, run: RunConfig,
                 space: ActionSpaceSpec) -> str:
-    scene = sample_scene(entry.task, entry.seed, run.scene)
-    sim = Simulator(scene, run.sim)
+    sim = Simulator(sample_scene(entry.task, entry.seed, run.scene), run.sim)
     text = render_instruction(entry.task, entry.template_id).text
-    policy.reset()
-    if hasattr(policy, "bind"):
-        policy.bind(sim, scene)
+    policy.bind(sim)
     while True:
         if sim.done:
             return _STATUS_BUCKET[sim.status]

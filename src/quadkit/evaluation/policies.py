@@ -1,9 +1,10 @@
 """Evaluation policies: scripted oracle, uniform random, and a trajectory
 nearest-neighbor imitator.
 
-Policies consume an observation plus instruction text and emit action tokens;
-only the oracle additionally receives the live simulator through ``bind``
-(it is the privileged reference, not a learned model). The nearest-neighbor
+Policies consume an observation plus instruction text and emit action tokens.
+The harness calls ``bind(sim)`` on every policy before each episode; only the
+oracle reads the live simulator there (it is the privileged reference, not a
+learned model), and the other policies ignore it. The nearest-neighbor
 policy is an intentionally simple behavior-cloning stand-in: it featurizes
 the pooled image and the parsed instruction, finds the k closest recorded
 steps, and takes a per-position majority vote over their token vectors.
@@ -28,14 +29,13 @@ from ..language import CATEGORY_VOCAB, parse_instruction
 from ..store.episodes import Episode, EpisodeStore
 from ..taxonomy import Color, GaitName, Skill, SpeedLevel, TaskSpec, LETTERS
 from ..world.camera import Observation
-from ..world.scene import Scene
 from ..world.sim import Simulator
 from .. import expert
 
 
 @runtime_checkable
 class Policy(Protocol):
-    def reset(self) -> None: ...
+    def bind(self, sim: Simulator) -> None: ...
 
     def act(self, obs: Observation, instruction: str) -> ActionTokens: ...
 
@@ -50,14 +50,11 @@ class OraclePolicy:
         self._sim: Simulator | None = None
         self._tracker: expert.PathTracker | None = None
 
-    def reset(self) -> None:
-        self._sim = None
-        self._tracker = None
-
-    def bind(self, sim: Simulator, scene: Scene) -> None:
-        """Attach the live episode; called by the harness before rollout."""
+    def bind(self, sim: Simulator) -> None:
+        """Attach the live episode and plan its path."""
         from ..expert.collect import plan_for_task
 
+        scene = sim.scene
         self._sim = sim
         try:
             path = plan_for_task(scene, self.run)
@@ -86,7 +83,7 @@ class RandomPolicy:
         self.space = space or default_action_space()
         self._rng = np.random.default_rng(seed)
 
-    def reset(self) -> None:
+    def bind(self, sim: Simulator) -> None:
         pass
 
     def act(self, obs: Observation, instruction: str) -> ActionTokens:
@@ -152,7 +149,7 @@ class KnnPolicy:
         self._sq = (self.features ** 2).sum(axis=1)
         self._vocab = space.token_offset + space.bin_count
 
-    def reset(self) -> None:
+    def bind(self, sim: Simulator) -> None:
         pass
 
     def act(self, obs: Observation, instruction: str) -> ActionTokens:

@@ -79,17 +79,15 @@ def generate_episode(task: TaskSpec, seed: int,
     sim = Simulator(scene, run.sim)
     tracker = PathTracker(task, scene, path, run.expert, run.sim)
     steps: list[Step] = []
-    while True:
+    while not sim.done:
         obs = render_observation(sim.state, run.sim.camera)
-        if sim.status is Status.SUCCESS:
-            _record_step(steps, obs, tracker.stop_command(), sim.state.robot_pose, space)
-            episode.outcome = "success"
-            break
-        if sim.done:
-            episode.outcome = sim.status.value
-            break
         cmd = tracker.command(sim.state)
         _record_step(steps, obs, cmd, sim.state.robot_pose, space)
         sim.step(cmd)
+    # Only a success records the terminal observation, paired with the stop.
+    if sim.status is Status.SUCCESS:
+        obs = render_observation(sim.state, run.sim.camera)
+        _record_step(steps, obs, tracker.stop_command(), sim.state.robot_pose, space)
+    episode.outcome = sim.status.value
     episode.steps = steps
     return episode

@@ -1,11 +1,11 @@
 """Deterministic kinematic simulation of the command-level tasks.
 
-Commands integrate as a unicycle with lateral slip at the high rate
-(f_high substeps per command tick), while realized body parameters slew
-toward their commanded values. Collision, task success, and termination
-are evaluated by the :class:`Simulator` every tick; collision and the
-bar-clearance constraint are additionally checked per substep so a fast
-robot cannot step across a thin solid.
+:meth:`Simulator.step` is the package's only integrator. Each command tick
+it integrates a unicycle with lateral slip at the high rate (f_high/f_low
+substeps), while realized body parameters slew toward their commanded
+values. Collision and the bar/tunnel constraints are checked on every
+substep's pose and body, so a fast robot cannot step across a thin solid;
+task success and termination are judged once per tick.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import math
 from dataclasses import replace
 
 from ..actions import ActionCommand
-from ..config import RateConfig, SimConfig, SlewConfig
+from ..config import SimConfig, SlewConfig
 from ..taxonomy import Skill, TaskSpec
 from .entities import Entity, EntityKind, SOLID_KINDS, tunnel_passable_halfwidth
 from .scene import Scene
@@ -59,37 +59,15 @@ def _integrate_substep(pose, body: BodyState, cmd: ActionCommand,
     return (x, y, yaw), new_body
 
 
-def apply_command(state: WorldState, a: ActionCommand, rates: RateConfig,
-                  slew: SlewConfig | None = None) -> WorldState:
-    """Advance one command tick: N = f_high/f_low substeps of kinematics.
-
-    Pure state transition; collision and success are judged separately.
-    """
-    slew = slew or SlewConfig()
-    pose, body = state.robot_pose, state.body
-    dt = rates.substep_dt
-    for _ in range(rates.substeps):
-        pose, body = _integrate_substep(pose, body, a, slew, dt)
-    if not all(math.isfinite(v) for v in pose):
-        raise SimulationError(f"non-finite pose after integration: {pose}")
-    step_count = state.step_count + 1
-    return replace(
-        state,
-        robot_pose=pose,
-        body=body,
-        sim_time=step_count / rates.f_low,
-        step_count=step_count,
-    )
-
-
-def check_collision(state: WorldState, config: SimConfig | None = None) -> str | None:
-    """Return a violation description if the robot footprint intersects solid
-    geometry (obstacles, letter boxes, tunnel walls) or fails the bar/tunnel
-    height constraints; None otherwise."""
+def check_collision(pose, body: BodyState, entities: list[Entity],
+                    config: SimConfig | None = None) -> str | None:
+    """Return a violation description if the robot footprint at ``pose``
+    intersects solid geometry (obstacles, letter boxes, tunnel walls) or
+    ``body`` fails the bar/tunnel height constraints; None otherwise."""
     config = config or SimConfig()
-    x, y, _ = state.robot_pose
+    x, y, _ = pose
     r = config.footprint_radius
-    for ent in state.entities:
+    for ent in entities:
         if ent.kind in SOLID_KINDS:
             if ent.footprint_distance(x, y) < r:
                 return f"footprint hit {ent.kind.value} ({ent.shape})"
@@ -101,10 +79,10 @@ def check_collision(state: WorldState, config: SimConfig | None = None) -> str |
             if lateral >= outer + r:
                 continue  # not at this tunnel at all
             if abs(x - ex) <= depth / 2.0:
-                half = tunnel_passable_halfwidth(ent, state.body.h_z)
+                half = tunnel_passable_halfwidth(ent, body.h_z)
                 if lateral > max(half - r, 0.0):
                     return "footprint hit tunnel wall"
-                if state.body.s_y > 2.0 * half:
+                if body.s_y > 2.0 * half:
                     return "stance wider than tunnel passage"
             elif abs(x - ex) < depth / 2.0 + r:
                 # Approaching the wall faces; conservative at the corners.
@@ -113,7 +91,7 @@ def check_collision(state: WorldState, config: SimConfig | None = None) -> str |
         elif ent.kind is EntityKind.BAR:
             bx, by, _ = ent.pose
             if abs(x - bx) <= ent.dims[0] / 2.0 + r and abs(y - by) <= ent.dims[1] / 2.0:
-                if state.body.h_z >= ent.attributes["clearance"]:
+                if body.h_z >= ent.attributes["clearance"]:
                     return "body height above bar clearance"
     return None
 
@@ -210,12 +188,10 @@ class Simulator:
         collided = None
         for _ in range(rates.substeps):
             pose, body = _integrate_substep(pose, body, a, slew, dt)
-            probe = replace(self.state, robot_pose=pose, body=body)
-            self._update_crossings(probe)
-            if collided is None:
-                collided = check_collision(probe, cfg)
-                if collided is not None:
-                    break
+            self._update_crossings(pose[0])
+            collided = check_collision(pose, body, self.state.entities, cfg)
+            if collided is not None:
+                break
         if not all(math.isfinite(v) for v in pose):
             raise SimulationError(f"non-finite pose after integration: {pose}")
 
@@ -248,10 +224,9 @@ class Simulator:
         if out.status is Status.SUCCESS:
             self.status = Status.SUCCESS
 
-    def _update_crossings(self, probe: WorldState) -> None:
+    def _update_crossings(self, x: float) -> None:
         if self.state.bar_passed:
             return
-        x = probe.robot_pose[0]
         for ent in self.scene.entities:
             if ent.kind is EntityKind.BAR:
                 if x > ent.pose[0] + ent.dims[0] / 2.0 + self.config.footprint_radius:

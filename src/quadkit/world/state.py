@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .entities import Entity
@@ -57,6 +57,3 @@ class WorldState:
     oriented_ticks: int = 0
     bar_passed: bool = False
     ball_released: bool = False
-
-    def copy(self) -> "WorldState":
-        return replace(self, entities=list(self.entities))

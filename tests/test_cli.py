@@ -6,13 +6,21 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import quadkit
 from quadkit.cli import _desk_plan, main
-from quadkit.config import FULL_SCALE_PLAN, PLAN_DIVISOR
+from quadkit.config import (
+    FULL_SCALE_PLAN,
+    PLAN_DIVISOR,
+    RateConfig,
+    RunConfig,
+    load_config,
+    save_config,
+)
 from quadkit.store import EpisodeStore
 from quadkit.taxonomy import Split
 
@@ -206,3 +214,35 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("config", [
+    {"sim": {"max_tick": 3}, "simm": {}},
+    {"sim": {"rates": {"f_hgh": 50.0}}},
+])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config):
+    bad = tmp_path / "typo.json"
+    bad.write_text(json.dumps(config))
+    code, _ = run_cli("--config", str(bad), "eval", "--policy", "oracle",
+                      "--suite", "dev_small")
+    assert code == 2
+    assert "unknown config key 'sim." in capsys.readouterr().err
+
+
+def test_config_round_trip_is_exact(tmp_path):
+    cfg = replace(RunConfig(), sim=replace(RunConfig().sim, max_ticks=7,
+                                           rates=RateConfig(f_high=100.0)))
+    save_config(cfg, tmp_path / "cfg.json")
+    assert load_config(tmp_path / "cfg.json") == cfg
+
+
+def test_verbose_adds_a_traceback_to_operational_errors(tmp_path, capsys):
+    missing = str(tmp_path / "nowhere")
+    assert run_cli("stats", "--store", missing)[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+    assert run_cli("-v", "stats", "--store", missing)[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last)")
+    assert err.splitlines()[-1].startswith("error: no manifest.json")

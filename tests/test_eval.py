@@ -31,7 +31,7 @@ def small_suite(seed: int = 0, name: str = "small"):
 
 
 class TerminateImmediately:
-    def reset(self):
+    def bind(self, sim):
         pass
 
     def act(self, obs, instruction):
@@ -40,7 +40,7 @@ class TerminateImmediately:
 
 
 class EmitGarbage:
-    def reset(self):
+    def bind(self, sim):
         pass
 
     def act(self, obs, instruction):
@@ -48,7 +48,7 @@ class EmitGarbage:
 
 
 class Crash:
-    def reset(self):
+    def bind(self, sim):
         pass
 
     def act(self, obs, instruction):

@@ -99,6 +99,28 @@ def test_unplannable_scene_is_reported_not_crashed(monkeypatch):
     assert ep.steps == []
 
 
+def test_every_rendered_observation_is_recorded(monkeypatch):
+    # A failed episode records no terminal step, so its final state is not
+    # rendered; a successful one records it paired with the stop command.
+    calls = []
+    render = collect_mod.render_observation
+
+    def counting_render(state, camera):
+        calls.append(state.step_count)
+        return render(state, camera)
+
+    monkeypatch.setattr(collect_mod, "render_observation", counting_render)
+    short = replace(RunConfig(), sim=replace(RunConfig().sim, max_ticks=2))
+    ep = generate_episode(SKILL_TASKS[Skill.GO_TO], 1, short)
+    assert ep.outcome == "timeout"
+    assert len(calls) == len(ep.steps) == 2
+
+    calls.clear()
+    ep = generate_episode(SKILL_TASKS[Skill.GO_TO], 1)
+    assert ep.outcome == "success"
+    assert len(calls) == len(ep.steps)
+
+
 def test_tokens_match_commands_through_the_codec():
     ep = generate_episode(SKILL_TASKS[Skill.GO_TO], 13)
     for step in ep.steps:

@@ -10,13 +10,7 @@ from quadkit.config import SimConfig
 from quadkit.taxonomy import Color, GaitName, ObjectRef, Skill, SpeedLevel, TaskSpec
 from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.scene import Scene
-from quadkit.world.sim import (
-    SimulationError,
-    Simulator,
-    apply_command,
-    check_collision,
-    check_success,
-)
+from quadkit.world.sim import SimulationError, Simulator, check_collision, check_success
 from quadkit.world.state import BodyState, Status, WorldState
 
 
@@ -47,11 +41,13 @@ def neutral_command(**overrides) -> ActionCommand:
 
 def test_one_tick_is_exactly_the_configured_substeps():
     cfg = SimConfig()
-    state = go_to_scene().initial_state(cfg.standing_height)
+    sim = Simulator(go_to_scene(), cfg)
+    start = sim.state
     cmd = neutral_command(v_x=0.5)
-    out = apply_command(state, cmd, cfg.rates, cfg.slew)
+    assert sim.step(cmd).status is Status.RUNNING
+    out = sim.state
     # Reference: the same kinematics integrated by a plain loop here.
-    x, y, yaw = state.robot_pose
+    x, y, yaw = start.robot_pose
     dt = cfg.rates.substep_dt
     for _ in range(cfg.rates.substeps):
         x += cmd.v_x * math.cos(yaw) * dt - cmd.v_y * math.sin(yaw) * dt
@@ -65,18 +61,21 @@ def test_one_tick_is_exactly_the_configured_substeps():
 
 def test_curved_motion_matches_reference_integration():
     cfg = SimConfig()
-    state = go_to_scene().initial_state()
+    sim = Simulator(go_to_scene(), cfg)
+    start = sim.state
     cmd = neutral_command(v_x=0.6, v_y=0.2, omega_z=0.8)
-    out = state
     for _ in range(4):
-        out = apply_command(out, cmd, cfg.rates, cfg.slew)
-    x, y, yaw = state.robot_pose
+        assert sim.step(cmd).status is Status.RUNNING
+    out = sim.state
+    x, y, yaw = start.robot_pose
     dt = cfg.rates.substep_dt
     for _ in range(4 * cfg.rates.substeps):
         x += (cmd.v_x * math.cos(yaw) - cmd.v_y * math.sin(yaw)) * dt
         y += (cmd.v_x * math.sin(yaw) + cmd.v_y * math.cos(yaw)) * dt
         yaw += cmd.omega_z * dt
     assert out.robot_pose == (x, y, yaw)
+    assert out.step_count == 4
+    assert out.sim_time == pytest.approx(4 * cfg.rates.tick_dt)
 
 
 def test_identical_command_sequences_are_bit_identical():
@@ -105,9 +104,9 @@ def test_body_parameters_slew_at_their_configured_rates():
 
 
 def test_non_finite_command_poisons_integration_loudly():
-    state = go_to_scene().initial_state()
-    with pytest.raises(Exception):
-        apply_command(state, neutral_command(v_x=float("nan")), SimConfig().rates)
+    sim = Simulator(go_to_scene())
+    with pytest.raises(SimulationError):
+        sim.step(neutral_command(v_x=float("nan")))
 
 
 # -- collision -----------------------------------------------------------------
@@ -134,24 +133,21 @@ def test_collision_is_detected_within_one_substep_of_contact():
 
 
 def test_round_entities_collide_by_radius():
-    state = WorldState(robot_pose=(0.76, 0.0, 0.0), entities=[
-        Entity(EntityKind.OBSTACLE, "cylinder", Color.BLUE, (1.0, 0.0, 0.0),
-               (0.3, 0.3, 0.4)),
-    ])
+    cylinder = [Entity(EntityKind.OBSTACLE, "cylinder", Color.BLUE, (1.0, 0.0, 0.0),
+                       (0.3, 0.3, 0.4))]
     # Gap = 0.24 - 0.15 = 0.09 < footprint 0.20 -> collision.
-    assert check_collision(state) is not None
-    clear = replace(state, robot_pose=(0.6, 0.0, 0.0))
-    assert check_collision(clear) is None
+    assert check_collision((0.76, 0.0, 0.0), BodyState(), cylinder) is not None
+    assert check_collision((0.6, 0.0, 0.0), BodyState(), cylinder) is None
 
 
 def test_targets_and_receptacles_are_not_solid():
-    state = WorldState(robot_pose=(3.0, 1.0, 0.0), entities=[
+    entities = [
         Entity(EntityKind.TARGET_OBJECT, "cube", Color.RED, (3.0, 1.0, 0.0),
                (0.3, 0.3, 0.3)),
         Entity(EntityKind.RECEPTACLE, "traybox", Color.BLUE, (3.0, 1.0, 0.0),
                (0.7, 0.7, 0.25)),
-    ])
-    assert check_collision(state) is None
+    ]
+    assert check_collision((3.0, 1.0, 0.0), BodyState(), entities) is None
 
 
 def test_tunnel_wall_blocks_only_at_entry_band():
@@ -163,13 +159,12 @@ def test_tunnel_wall_blocks_only_at_entry_band():
                     "height": 0.6},
     )
     def at(x, y, h=0.25):
-        return WorldState(robot_pose=(x, y, 0.0), body=BodyState(h_z=h),
-                          entities=[tunnel])
+        return check_collision((x, y, 0.0), BodyState(h_z=h), [tunnel])
 
-    assert check_collision(at(3.0, 1.0)) is None          # centered inside
-    assert check_collision(at(3.0, 1.4)) is not None      # squeezed at wall
-    assert check_collision(at(3.0, 3.0)) is None          # far from tunnel
-    assert check_collision(at(2.0, 1.0)) is None          # before the mouth
+    assert at(3.0, 1.0) is None          # centered inside
+    assert at(3.0, 1.4) is not None      # squeezed at wall
+    assert at(3.0, 3.0) is None          # far from tunnel
+    assert at(2.0, 1.0) is None          # before the mouth
 
 
 def test_triangle_tunnel_narrows_with_body_height():
@@ -182,23 +177,18 @@ def test_triangle_tunnel_narrows_with_body_height():
     )
     # Passable half-width at h: 0.55 * (1 - h/0.6); minus the 0.2 footprint
     # that leaves 0.24 of lateral room at h=0.12 but none at h=0.40.
-    low = WorldState(robot_pose=(3.0, 1.22, 0.0), body=BodyState(h_z=0.12),
-                     entities=[tunnel])
-    tall = replace(low, body=BodyState(h_z=0.40))
-    assert check_collision(low) is None
-    assert check_collision(tall) is not None
+    pose = (3.0, 1.22, 0.0)
+    assert check_collision(pose, BodyState(h_z=0.12), [tunnel]) is None
+    assert check_collision(pose, BodyState(h_z=0.40), [tunnel]) is not None
 
 
 def test_bar_requires_body_below_clearance():
     bar = Entity(EntityKind.BAR, "bar", Color.RED, (1.5, 1.0, 0.0),
                  (0.06, 2.2, 0.06), attributes={"clearance": 0.18})
-    under_low = WorldState(robot_pose=(1.5, 1.0, 0.0),
-                           body=BodyState(h_z=0.12), entities=[bar])
-    under_tall = replace(under_low, body=BodyState(h_z=0.25))
-    beside = replace(under_tall, robot_pose=(1.5, 2.5, 0.0))
-    assert check_collision(under_low) is None
-    assert check_collision(under_tall) is not None
-    assert check_collision(beside) is None
+    under = (1.5, 1.0, 0.0)
+    assert check_collision(under, BodyState(h_z=0.12), [bar]) is None
+    assert check_collision(under, BodyState(h_z=0.25), [bar]) is not None
+    assert check_collision((1.5, 2.5, 0.0), BodyState(h_z=0.25), [bar]) is None
 
 
 # -- success rules ---------------------------------------------------------------
