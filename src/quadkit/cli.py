@@ -255,11 +255,7 @@ def _trajectory_svg(episode, run: RunConfig) -> str:
 def cmd_render(args) -> int:
     run = _load_run_config(args)
     store = EpisodeStore.open(args.store)
-    episode = None
-    for ep in store.iter_episodes():
-        if ep.episode_id == args.episode:
-            episode = ep
-            break
+    episode = store.find_episode(args.episode)
     if episode is None:
         raise UsageError(f"episode {args.episode!r} not found in {args.store}")
     out = Path(args.out)

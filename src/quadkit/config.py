@@ -219,18 +219,38 @@ def _to_jsonable(obj):
     return obj
 
 
-def _from_jsonable(value):
-    if isinstance(value, list):
-        return tuple(_from_jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {k: _from_jsonable(v) for k, v in value.items()}
+def _value(value, default, path: str):
+    """``value`` from JSON, checked against the type of ``default``.
+
+    An int may stand in for a float and a JSON list for a tuple of the same
+    length; anything else raises ValueError naming the dotted path.
+    """
+    if dataclasses.is_dataclass(default):
+        return _build(type(default), value, f"{path}.")
+    if isinstance(default, tuple):
+        if not isinstance(value, list) or len(value) != len(default):
+            raise ValueError(f"config value '{path}' must be a list of {len(default)}")
+        return tuple(_value(v, d, f"{path}[{i}]")
+                     for i, (v, d) in enumerate(zip(value, default)))
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            raise ValueError(f"config value '{path}' must be a JSON object")
+        # A key the default lacks takes the shape of the default's first entry.
+        sample = next(iter(default.values()))
+        return {k: _value(v, default.get(k, sample), f"{path}.{k}") for k, v in value.items()}
+    expected = (int, float) if isinstance(default, float) else type(default)
+    if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
+        raise ValueError(
+            f"config value '{path}' must be {type(default).__name__}, got {value!r}"
+        )
     return value
 
 
 def _build(cls, data, path: str = ""):
     """``cls`` from its JSON form; nested config types come from the defaults.
 
-    Raises ValueError naming the dotted path of the first unknown key.
+    Raises ValueError naming the dotted path of the first unknown key or of
+    the first value whose type does not match the default's.
     """
     if not isinstance(data, dict):
         raise ValueError(f"{path.rstrip('.') or 'config'} must be a JSON object")
@@ -240,11 +260,7 @@ def _build(cls, data, path: str = ""):
     for key, value in data.items():
         if key not in names:
             raise ValueError(f"unknown config key '{path}{key}'")
-        nested = getattr(default, key)
-        if dataclasses.is_dataclass(nested):
-            kwargs[key] = _build(type(nested), value, f"{path}{key}.")
-        else:
-            kwargs[key] = _from_jsonable(value)
+        kwargs[key] = _value(value, getattr(default, key), f"{path}{key}")
     return cls(**kwargs)
 
 

@@ -8,6 +8,12 @@ learned model), and the other policies ignore it. The nearest-neighbor
 policy is an intentionally simple behavior-cloning stand-in: it featurizes
 the pooled image and the parsed instruction, finds the k closest recorded
 steps, and takes a per-position majority vote over their token vectors.
+
+Its answer is fixed by this contract, whatever the selection algorithm: the
+neighbours are the k smallest float32 squared distances, ties broken by
+training-step order (the first k of a stable sort), and a per-position vote
+tie goes to the smaller token. The query keeps it in O(n): a partition finds
+the k-th distance, and only the candidates at or below it are sorted.
 """
 
 from __future__ import annotations
@@ -100,14 +106,17 @@ _SPEC_WEIGHT = 4.0  # instruction features dominate neighbor choice
 
 
 def _pool_image(image: np.ndarray) -> np.ndarray:
+    """Per-channel block means of a 6x8 grid over ``image``, scaled to [0, 1].
+
+    The uint8 block sums are exact integers, so dividing them by the block
+    size gives the same float64 values as ``np.mean`` over each block.
+    """
     h, w, _ = image.shape
     rh, rw = h // _POOL_ROWS, w // _POOL_COLS
-    pooled = (
-        image[: rh * _POOL_ROWS, : rw * _POOL_COLS]
-        .reshape(_POOL_ROWS, rh, _POOL_COLS, rw, 3)
-        .mean(axis=(1, 3))
-    )
-    return pooled.reshape(-1) / 255.0
+    cropped = image[: rh * _POOL_ROWS, : rw * _POOL_COLS]
+    rows = cropped.reshape(_POOL_ROWS, rh, -1).sum(axis=1)
+    sums = rows.reshape(_POOL_ROWS, _POOL_COLS, rw, 3).sum(axis=2)
+    return (sums / (rh * rw)).reshape(-1) / 255.0
 
 
 def _one_hot(options: tuple, value) -> np.ndarray:
@@ -127,8 +136,9 @@ def _encode_spec(spec: TaskSpec) -> np.ndarray:
     ])
 
 
-def _featurize(image: np.ndarray, spec: TaskSpec) -> np.ndarray:
-    return np.concatenate([_pool_image(image), _encode_spec(spec)])
+def _featurize(image: np.ndarray, spec_features: np.ndarray) -> np.ndarray:
+    """One step's features: the pooled image, then ``_encode_spec`` of its task."""
+    return np.concatenate([_pool_image(image), spec_features])
 
 
 class KnnPolicy:
@@ -142,27 +152,38 @@ class KnnPolicy:
             raise ValueError(
                 f"k must be in [1, {features.shape[0]}] for this training set, got {k}"
             )
+        self._vocab = space.token_offset + space.bin_count
+        if labels.ndim != 2 or labels.min() < 0 or labels.max() >= self._vocab:
+            raise ValueError(f"labels must be token rows in [0, {self._vocab})")
         self.features = features.astype(np.float32)
         self.labels = labels.astype(np.int64)
         self.k = k
         self.space = space
         self._sq = (self.features ** 2).sum(axis=1)
-        self._vocab = space.token_offset + space.bin_count
+        # Position j votes in bins [j * vocab, (j + 1) * vocab) of one bincount.
+        self._vote_offsets = np.arange(labels.shape[1]) * self._vocab
+        self._spec_memo: tuple[str, np.ndarray] | None = None
 
     def bind(self, sim: Simulator) -> None:
-        pass
+        self._spec_memo = None
+
+    def _spec_features(self, instruction: str) -> np.ndarray:
+        # The instruction is constant within an episode, so parse it once. A
+        # failed parse raises on every call and is never memoised.
+        if self._spec_memo is None or self._spec_memo[0] != instruction:
+            spec = parse_instruction(instruction).spec
+            self._spec_memo = (instruction, _encode_spec(spec))
+        return self._spec_memo[1]
 
     def act(self, obs: Observation, instruction: str) -> ActionTokens:
-        spec = parse_instruction(instruction).spec
-        q = _featurize(obs.image, spec).astype(np.float32)
+        q = _featurize(obs.image, self._spec_features(instruction)).astype(np.float32)
         d2 = self._sq - 2.0 * (self.features @ q) + float(q @ q)
-        nearest = np.argsort(d2, kind="stable")[: self.k]
-        votes = self.labels[nearest]
-        tokens = tuple(
-            int(np.bincount(votes[:, j], minlength=self._vocab).argmax())
-            for j in range(votes.shape[1])
-        )
-        return ActionTokens(tokens)
+        kth = np.partition(d2, self.k - 1)[self.k - 1]
+        cand = np.flatnonzero(d2 <= kth)
+        nearest = cand[np.argsort(d2[cand], kind="stable")[: self.k]]
+        votes = (self.labels[nearest] + self._vote_offsets).ravel()
+        counts = np.bincount(votes, minlength=self._vote_offsets.size * self._vocab)
+        return ActionTokens(tuple(counts.reshape(-1, self._vocab).argmax(axis=1).tolist()))
 
 
 def knn_bc_policy(train: Iterable[Episode] | EpisodeStore, k: int = 5,
@@ -174,9 +195,10 @@ def knn_bc_policy(train: Iterable[Episode] | EpisodeStore, k: int = 5,
         train = train.iter_episodes()
     feats, labels = [], []
     for ep in train:
+        spec_features = _encode_spec(ep.task)
         for step in ep.steps:
-            feats.append(_featurize(step.image, ep.task))
+            feats.append(_featurize(step.image, spec_features))
             labels.append(step.tokens)
     if not feats:
         raise ValueError("training set has no steps")
-    return KnnPolicy(np.stack(feats), np.asarray(labels), k, space)
+    return KnnPolicy(np.stack(feats, dtype=np.float32), np.asarray(labels), k, space)

@@ -347,6 +347,14 @@ class EpisodeStore:
             for rec in self._iter_records(name):
                 yield self._episode_from_record(rec, load_images)
 
+    def find_episode(self, episode_id: str) -> Episode | None:
+        """The episode with this id, or None; loads the images of that one only."""
+        for info in self.shards:
+            for rec in self._iter_records(info.name):
+                if rec["episode_id"] == episode_id:
+                    return self._episode_from_record(rec)
+        return None
+
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> list[str]:

@@ -2,7 +2,7 @@
 
 These deliberately re-derive results from first principles (textbook
 Dijkstra over the same movement rule, a disk stamped around every occupied
-cell, pinhole projection area) instead of
+cell, pinhole projection area, a full sort for nearest neighbours) instead of
 calling the code under test, so agreement is evidence of correctness rather
 than tautology.
 """
@@ -103,3 +103,28 @@ def random_grid(rng: np.random.Generator, nx: int = 16, ny: int = 16,
     occupied[ny - 1, nx - 1] = False
     return OccupancyGrid(origin=(0.0, 0.0), resolution=resolution,
                          occupied=occupied)
+
+
+def knn_reference(features: np.ndarray, labels: np.ndarray, k: int,
+                  query: np.ndarray, vocab: int) -> tuple[int, ...]:
+    """kNN vote by definition: the first k of a stable argsort of all squared
+    distances, then one ``bincount`` per token position (ties go to the
+    smaller token, the first maximum).
+
+    The distance is the policy's own float32 expression, because which
+    distances are equal is part of the contract and depends on rounding.
+    """
+    f = features.astype(np.float32)
+    q = query.astype(np.float32)
+    d2 = (f ** 2).sum(axis=1) - 2.0 * (f @ q) + float(q @ q)
+    votes = labels[np.argsort(d2, kind="stable")[:k]]
+    return tuple(int(np.bincount(votes[:, j], minlength=vocab).argmax())
+                 for j in range(votes.shape[1]))
+
+
+def block_mean_pool(image: np.ndarray, rows: int = 6, cols: int = 8) -> np.ndarray:
+    """Per-channel means of a rows x cols block grid (remainders cropped), in [0, 1]."""
+    h, w, c = image.shape
+    rh, rw = h // rows, w // cols
+    blocks = image[: rh * rows, : rw * cols].reshape(rows, rh, cols, rw, c)
+    return blocks.mean(axis=(1, 3)).reshape(-1) / 255.0

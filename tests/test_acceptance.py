@@ -29,7 +29,7 @@ from quadkit.evaluation import (
     make_unseen_suites,
     run_suite,
 )
-from quadkit.evaluation.policies import _featurize
+from quadkit.evaluation.policies import _encode_spec, _featurize
 from quadkit.expert import (
     DStarLitePlanner,
     NoPathError,
@@ -294,7 +294,8 @@ def _pool_with_features(skill: Skill, count: int, rng, source: str, feats: dict)
                 break
             seed = (seed + 1) % (2**31 - 1)
         feats[ep.episode_id] = (
-            np.stack([_featurize(st.image, ep.task) for st in ep.steps]).astype(np.float32),
+            np.stack([_featurize(st.image, _encode_spec(ep.task))
+                      for st in ep.steps]).astype(np.float32),
             np.asarray([st.tokens for st in ep.steps], dtype=np.int64),
         )
         stubs.append(Episode(ep.episode_id, ep.task, ep.instruction,

@@ -169,6 +169,19 @@ def test_render_missing_episode_is_a_usage_error(tmp_path):
     assert code == 2
 
 
+def test_render_loads_only_the_matched_episodes_images(tmp_path, monkeypatch):
+    collect_small(tmp_path / "store")
+    last = list(EpisodeStore.open(tmp_path / "store").iter_episodes(load_images=False))[-1]
+    loaded = []
+    load_image = EpisodeStore.load_image
+    monkeypatch.setattr(EpisodeStore, "load_image",
+                        lambda self, sha: loaded.append(sha) or load_image(self, sha))
+    code, _ = run_cli("render", "--store", str(tmp_path / "store"),
+                      "--episode", last.episode_id, "--out", str(tmp_path / "viz"))
+    assert code == 0
+    assert len(loaded) == len(last.steps)
+
+
 def test_import_real_command_reports_counts(tmp_path):
     good_episode(tmp_path / "src" / "run-a")
     code, out = run_cli("import-real", "--src", str(tmp_path / "src"),
@@ -227,6 +240,16 @@ def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config):
                       "--suite", "dev_small")
     assert code == 2
     assert "unknown config key 'sim." in capsys.readouterr().err
+
+
+def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
+    bad = tmp_path / "typed.json"
+    bad.write_text(json.dumps({"sim": {"max_ticks": "3"}}))
+    code, _ = run_cli("--config", str(bad), "collect", "--out", str(tmp_path / "store"),
+                      "--task", "go_to", "--count", "1")
+    assert code == 2
+    assert "'sim.max_ticks'" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
 
 
 def test_config_round_trip_is_exact(tmp_path):

@@ -1,6 +1,8 @@
 """Evaluation harness: suite construction, outcome bookkeeping, policy
 behavior, generalization suites, and the scaling experiment."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -16,10 +18,15 @@ from quadkit.evaluation import (
     run_suite,
     scaling_experiment,
 )
+from quadkit.evaluation import policies
 from quadkit.evaluation.harness import BUCKETS
+from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
 from quadkit.expert import generate_episode
+from quadkit.language import LanguageError, render_instruction
 from quadkit.store import MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, Split
+
+from oracles import block_mean_pool, knn_reference
 
 SPACE = default_action_space()
 
@@ -130,6 +137,74 @@ def test_knn_rejects_bad_k_and_empty_training():
         knn_bc_policy([ep], k=len(ep.steps) + 1)
     with pytest.raises(ValueError):
         knn_bc_policy([], k=1)
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_knn_query_matches_a_full_sort_when_distances_tie(k):
+    rng = np.random.default_rng(100 + k)
+    tasks = [e.task for e in small_suite(21).entries]
+    texts = [render_instruction(t).text for t in tasks]
+    # 30 distinct images recorded 1-4 times each in shuffled step order:
+    # duplicated rows give equal distances, so the k-th often lies in a tie,
+    # and labels from 3 tokens make per-position vote ties common too.
+    images = rng.integers(0, 256, (30, 48, 64, 3), dtype=np.uint8)
+    image_task = rng.integers(0, len(tasks), len(images))
+    rows = np.repeat(np.arange(len(images)), rng.integers(1, 5, len(images)))
+    rng.shuffle(rows)
+    features = np.stack([_featurize(images[i], _encode_spec(tasks[image_task[i]]))
+                         for i in rows])
+    labels = rng.integers(0, 3, (len(rows), 12))
+    policy = KnnPolicy(features, labels, k, SPACE)
+    vocab = SPACE.token_offset + SPACE.bin_count
+
+    queries = [(images[i], image_task[i]) for i in range(len(images))]
+    queries += [(rng.integers(0, 256, (48, 64, 3), dtype=np.uint8), t)
+                for t in rng.integers(0, len(tasks), 20)]
+    tied = 0
+    for image, t in queries:
+        query = _featurize(image, _encode_spec(tasks[t])).astype(np.float32)
+        got = policy.act(SimpleNamespace(image=image), texts[t]).tokens
+        assert got == knn_reference(features, labels, k, query, vocab)
+        d2 = np.sort(policy._sq - 2.0 * (policy.features @ query) + float(query @ query))
+        tied += bool(d2[k - 1] == d2[k])
+    assert tied >= 5
+
+
+def test_knn_rejects_labels_outside_the_vocabulary():
+    features = np.zeros((2, 4))
+    with pytest.raises(ValueError):
+        KnnPolicy(features, np.full((2, 12), SPACE.token_offset + SPACE.bin_count), 1, SPACE)
+    with pytest.raises(ValueError):
+        KnnPolicy(features, np.full((2, 12), -1), 1, SPACE)
+
+
+def test_knn_parses_each_episodes_instruction_once(monkeypatch):
+    ep = generate_episode(small_suite(11).entries[0].task, small_suite(11).entries[0].seed)
+    policy = knn_bc_policy([ep], k=1)
+    parsed = []
+    parse = policies.parse_instruction
+    monkeypatch.setattr(policies, "parse_instruction",
+                        lambda text: parsed.append(text) or parse(text))
+    obs = SimpleNamespace(image=ep.steps[0].image)
+    for _ in range(3):
+        assert policy.act(obs, ep.instruction).tokens == ep.steps[0].tokens
+    assert len(parsed) == 1
+    # A failed parse is never memoised: it raises on every call.
+    for _ in range(2):
+        with pytest.raises(LanguageError):
+            policy.act(obs, "do a backflip")
+    assert policy.act(obs, ep.instruction).tokens == ep.steps[0].tokens
+    policy.bind(None)  # a new episode parses again
+    policy.act(obs, ep.instruction)
+    assert parsed == [ep.instruction, "do a backflip", "do a backflip", ep.instruction]
+
+
+@pytest.mark.parametrize("shape", [(48, 64, 3), (50, 67, 3), (6, 8, 3), (13, 23, 3)])
+def test_pool_image_equals_block_means_bit_for_bit(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for _ in range(20):
+        image = rng.integers(0, 256, shape, dtype=np.uint8)
+        assert _pool_image(image).tobytes() == block_mean_pool(image).tobytes()
 
 
 def test_unseen_suites_preserve_budgets_and_drop_seen_colors():

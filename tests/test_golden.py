@@ -19,6 +19,8 @@ REPORT_DIGESTS = {
         "5ea35d1d2b3821b3ebe6bbe8902d9089014a4d86490969db20b1f3847ddd0e09",
     "knn":
         "58f26c08739802e7ac2ecc6141d57da52da2e9de0f86c615312e9ba05de799ce",
+    "knn_k3":
+        "4a0e9cc5aeb8dc189d12a8111f4b8161b1c36c192cb2f2dc809f5d7767b9aaff",
 }
 
 
@@ -37,11 +39,11 @@ def golden_digests(tmp: Path) -> tuple[str, dict[str, str]]:
         assert run_cli("collect", "--out", str(store), "--task", task,
                        "--count", count, "--seed", seed)[0] == 0
     reports = {}
-    for name, policy in (("oracle", "oracle"), ("random", "random"),
-                         ("knn", f"knn:{store}")):
+    for name, policy, k in (("oracle", "oracle", "5"), ("random", "random", "5"),
+                            ("knn", f"knn:{store}", "5"), ("knn_k3", f"knn:{store}", "3")):
         out = tmp / f"eval-{name}"
         assert run_cli("eval", "--policy", policy, "--suite", "dev_small",
-                       "--seed", "3", "--out", str(out))[0] == 0
+                       "--seed", "3", "--knn-k", k, "--out", str(out))[0] == 0
         reports[name] = hashlib.sha256((out / "report.csv").read_bytes()).hexdigest()
     return tree_digest(store), reports
 
