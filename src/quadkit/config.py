@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,13 @@ class SlewConfig:
     h_z_f: float = 0.3      # m/s
     f: float = 5.0          # Hz/s
     theta: float = 2.0      # cycle/s
+
+    def __post_init__(self):
+        # A negative or non-finite rate would slew away from the target.
+        for spec in dataclasses.fields(self):
+            rate = getattr(self, spec.name)
+            if not (math.isfinite(rate) and rate >= 0):
+                raise ValueError(f"slew rate {spec.name} must be finite and >= 0, got {rate!r}")
 
 
 @dataclass(frozen=True)

@@ -12,16 +12,21 @@ two runs that produce the same episodes produce byte-identical stores. No
 timestamps or host details are written anywhere.
 
 Concurrent writers each own one shard file; the manifest commit is
-serialized through a lock file.
+serialized by an exclusive ``flock`` on the store root directory, which the
+kernel drops when its holder exits, so a killed writer never blocks the
+next commit and no lock file is left in the store.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
+import re
 import struct
-import time
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -35,6 +40,9 @@ from ..world.camera import from_ppm, to_ppm
 
 FORMAT_VERSION = 1
 _LEN = struct.Struct(">I")
+# A step's observation reference as it appears in a canonical record; a
+# quote inside a JSON string is escaped, so only the key itself matches.
+_OBS_REF = re.compile(rb'"obs":"([0-9a-f]{64})"')
 
 OUTCOMES = ("success", "collision", "timeout", "out_of_bounds", "unplannable")
 SOURCES = ("sim", "real")
@@ -117,30 +125,16 @@ def _episode_record(ep: Episode, obs_shas: list[str]) -> dict:
     }
 
 
-class _ManifestLock:
-    """Exclusive-create lock file; serializes manifest commits."""
-
-    def __init__(self, root: Path, timeout: float = 30.0):
-        self.path = root / ".manifest.lock"
-        self.timeout = timeout
-
-    def __enter__(self):
-        deadline = time.monotonic() + self.timeout
-        while True:
-            try:
-                fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                os.close(fd)
-                return self
-            except FileExistsError:
-                if time.monotonic() > deadline:
-                    raise StoreError(f"could not acquire manifest lock {self.path}")
-                time.sleep(0.02)
-
-    def __exit__(self, *exc):
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+@contextmanager
+def _manifest_lock(root: Path):
+    """Hold an exclusive ``flock`` on the store root directory; serializes
+    manifest commits. Closing the descriptor releases the lock."""
+    fd = os.open(root, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)
 
 
 class ShardWriter:
@@ -286,7 +280,7 @@ class EpisodeStore:
     def commit_shards(self, infos: Iterable[ShardInfo]) -> None:
         """Record finished shards in the manifest (lock-serialized)."""
         infos = list(infos)
-        with _ManifestLock(self.root):
+        with _manifest_lock(self.root):
             current = json.loads((self.root / "manifest.json").read_text())
             names = {s["name"] for s in current["shards"]}
             for info in infos:
@@ -300,11 +294,14 @@ class EpisodeStore:
 
     # -- reading -----------------------------------------------------------------
 
-    def _iter_records(self, name: str) -> Iterator[dict]:
+    def _shard_file(self, name: str) -> Path:
         path = self.root / "shards" / f"{name}.rec"
         if not path.exists():
             raise StoreError(f"missing shard file {path}")
-        with open(path, "rb") as fh:
+        return path
+
+    def _iter_records(self, name: str) -> Iterator[dict]:
+        with open(self._shard_file(name), "rb") as fh:
             while True:
                 head = fh.read(_LEN.size)
                 if not head:
@@ -317,12 +314,11 @@ class EpisodeStore:
                     raise StoreError(f"{name}: truncated record payload")
                 yield json.loads(payload)
 
-    def _episode_from_record(self, rec: dict, load_images: bool = True) -> Episode:
+    def _episode_from_record(self, rec: dict, load_image) -> Episode:
         steps = []
         for s in rec["steps"]:
-            image = self.load_image(s["obs"]) if load_images else _EMPTY_IMAGE
             steps.append(Step(
-                image=image,
+                image=load_image(s["obs"]),
                 tokens=tuple(int(t) for t in s["tokens"]),
                 command=ActionCommand.from_continuous(
                     s["command"]["values"], s["command"]["terminate"]
@@ -340,19 +336,42 @@ class EpisodeStore:
             steps=steps,
         )
 
+    def _pass_loader(self, names: list[str]):
+        """``load_image`` for one pass over the shards ``names``: each distinct
+        image is decoded once, and kept only while later steps of the pass
+        still refer to it. The decoded arrays are read-only, so steps share them.
+
+        The references are counted in the shard bytes without parsing them. A
+        miscount costs a second decode or a longer-kept image, never a wrong one.
+        """
+        uses = Counter(sha.decode() for name in names
+                       for sha in _OBS_REF.findall(self._shard_file(name).read_bytes()))
+        kept: dict[str, np.ndarray] = {}
+
+        def load(sha: str) -> np.ndarray:
+            image = kept.pop(sha, None)
+            if image is None:
+                image = self.load_image(sha)
+            uses[sha] -= 1
+            if uses[sha] > 0:
+                kept[sha] = image
+            return image
+        return load
+
     def iter_episodes(self, shard: str | None = None,
                       load_images: bool = True) -> Iterator[Episode]:
         names = [shard] if shard else [s.name for s in self.shards]
+        load = self._pass_loader(names) if load_images else _no_image
         for name in names:
             for rec in self._iter_records(name):
-                yield self._episode_from_record(rec, load_images)
+                yield self._episode_from_record(rec, load)
 
     def find_episode(self, episode_id: str) -> Episode | None:
         """The episode with this id, or None; loads the images of that one only."""
         for info in self.shards:
             for rec in self._iter_records(info.name):
                 if rec["episode_id"] == episode_id:
-                    return self._episode_from_record(rec)
+                    return self._episode_from_record(rec, self.load_image)
         return None
 
     # -- validation ----------------------------------------------------------------
@@ -417,3 +436,7 @@ class EpisodeStore:
 
 
 _EMPTY_IMAGE = np.zeros((1, 1, 3), dtype=np.uint8)
+
+
+def _no_image(sha: str) -> np.ndarray:
+    return _EMPTY_IMAGE

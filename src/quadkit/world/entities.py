@@ -27,6 +27,8 @@ class EntityKind(str, Enum):
 # non-solid: the robot stops at the target and leans over the receptacle.
 SOLID_KINDS = (EntityKind.OBSTACLE, EntityKind.LETTER_BOX)
 
+# Shapes whose footprint is a circle of diameter dims[0]; every other
+# footprint is the axis-aligned dims[0] x dims[1] box.
 ROUND_SHAPES = ("ball", "cylinder", "sphere", "tube", "vase", "trashcan", "fan")
 
 
@@ -42,25 +44,6 @@ class Entity:
     def __post_init__(self):
         if min(self.dims) <= 0:
             raise ValueError(f"entity dims must be positive, got {self.dims}")
-
-    @property
-    def is_round(self) -> bool:
-        return self.shape in ROUND_SHAPES
-
-    def footprint_distance(self, x: float, y: float) -> float:
-        """Distance from (x, y) to this entity's footprint boundary (<= 0 inside)."""
-        ex, ey, _ = self.pose
-        if self.is_round:
-            return ((x - ex) ** 2 + (y - ey) ** 2) ** 0.5 - self.dims[0] / 2.0
-        hx, hy = self.dims[0] / 2.0, self.dims[1] / 2.0
-        dx = max(abs(x - ex) - hx, 0.0)
-        dy = max(abs(y - ey) - hy, 0.0)
-        if dx == 0.0 and dy == 0.0:
-            return max(abs(x - ex) - hx, abs(y - ey) - hy)
-        return (dx * dx + dy * dy) ** 0.5
-
-    def contains_point(self, x: float, y: float) -> bool:
-        return self.footprint_distance(x, y) <= 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -78,16 +61,3 @@ class Entity:
             EntityKind(d["kind"]), d["shape"], Color(d["color"]),
             tuple(d["pose"]), tuple(d["dims"]), dict(d.get("attributes", {})),
         )
-
-
-def tunnel_passable_halfwidth(tunnel: Entity, body_height: float) -> float:
-    """Lateral clearance inside a tunnel at a given realized body height.
-
-    Rectangular cross-sections keep the full passage width; triangular ones
-    narrow linearly toward the apex.
-    """
-    passage = tunnel.attributes["passage_width"] / 2.0
-    if tunnel.attributes.get("cross_section") == "triangle":
-        height = tunnel.attributes["height"]
-        return passage * max(0.0, 1.0 - body_height / height)
-    return passage

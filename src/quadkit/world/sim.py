@@ -6,6 +6,17 @@ substeps), while realized body parameters slew toward their commanded
 values. Collision and the bar/tunnel constraints are checked on every
 substep's pose and body, so a fast robot cannot step across a thin solid;
 task success and termination are judged once per tick.
+
+The substep loop runs on local floats and builds one ``BodyState`` per tick.
+Collision geometry is checked against collision records: each solid, tunnel
+and bar entity becomes one tuple of the numbers its check needs, built once
+per entity list by :func:`_collision_records` and tested in list order by
+:func:`_first_violation`, the one collision kernel (:func:`check_collision`
+uses it too). Every float expression keeps its operand order and its
+``min``/``max`` argument order, so poses, bodies, statuses and violations
+are the same bits, signed zeros included, as integrating each substep into a
+fresh ``BodyState`` and walking every entity (``tests/oracles.py`` keeps
+that form as the reference).
 """
 
 from __future__ import annotations
@@ -14,9 +25,9 @@ import math
 from dataclasses import replace
 
 from ..actions import ActionCommand
-from ..config import SimConfig, SlewConfig
+from ..config import SimConfig
 from ..taxonomy import Skill, TaskSpec
-from .entities import Entity, EntityKind, SOLID_KINDS, tunnel_passable_halfwidth
+from .entities import Entity, EntityKind, ROUND_SHAPES, SOLID_KINDS
 from .scene import Scene
 from .state import BodyState, Status, StepOutcome, TERMINAL_STATUSES, WorldState
 
@@ -29,34 +40,100 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _slew(current: float, target: float, rate: float, dt: float) -> float:
-    step = rate * dt
-    if target > current:
-        return min(current + step, target)
-    return max(current - step, target)
+def _slew_path(current: float, target: float, step: float, n: int) -> list[float]:
+    """The values of ``current`` after each of ``n`` substeps that move it
+    toward ``target`` by at most ``step`` (rate * dt).
+
+    Once a substep leaves the value unchanged bit for bit (same value and
+    sign), every later substep would too, so the rest of the path repeats it.
+    """
+    path = []
+    while len(path) < n:
+        if target > current:
+            moved = min(current + step, target)
+        else:
+            moved = max(current - step, target)
+        if moved == current and math.copysign(1.0, moved) == math.copysign(1.0, current):
+            return path + [current] * (n - len(path))
+        path.append(moved)
+        current = moved
+    return path
 
 
-def _integrate_substep(pose, body: BodyState, cmd: ActionCommand,
-                       slew: SlewConfig, dt: float):
-    """One high-rate substep: translate with the current yaw, then rotate,
-    then slew body parameters."""
-    x, y, yaw = pose
-    x += (cmd.v_x * math.cos(yaw) - cmd.v_y * math.sin(yaw)) * dt
-    y += (cmd.v_x * math.sin(yaw) + cmd.v_y * math.cos(yaw)) * dt
-    yaw += cmd.omega_z * dt
-    new_body = BodyState(
-        h_z=_slew(body.h_z, cmd.h_z, slew.h_z, dt),
-        phi=_slew(body.phi, cmd.phi, slew.phi, dt),
-        s_y=_slew(body.s_y, cmd.s_y, slew.s_y, dt),
-        h_z_f=_slew(body.h_z_f, cmd.h_z_f, slew.h_z_f, dt),
-        theta=(
-            _slew(body.theta[0], cmd.theta_1, slew.theta, dt),
-            _slew(body.theta[1], cmd.theta_2, slew.theta, dt),
-            _slew(body.theta[2], cmd.theta_3, slew.theta, dt),
-        ),
-        f=_slew(body.f, cmd.f, slew.f, dt),
-    )
-    return (x, y, yaw), new_body
+# Collision record tags; the fields after (tag, ex, ey) depend on the tag.
+_ROUND, _BOX, _TUNNEL, _BAR = range(4)
+
+
+def _collision_records(entities: list[Entity], r: float) -> list[tuple]:
+    """One record per entity that can stop the robot, in list order:
+
+    - ``(_ROUND, ex, ey, radius, message)`` and
+      ``(_BOX, ex, ey, hx, hy, message)`` for solids;
+    - ``(_TUNNEL, ex, ey, outer + r, depth/2, depth/2 + r, passage/2,
+      apex height or None, passage/2 - r)``;
+    - ``(_BAR, ex, ey, dx/2 + r, dy/2, clearance)``.
+
+    Targets, receptacles and landed balls block nothing and get no record.
+    """
+    records = []
+    for ent in entities:
+        ex, ey, _ = ent.pose
+        dims, attrs = ent.dims, ent.attributes
+        if ent.kind in SOLID_KINDS:
+            message = f"footprint hit {ent.kind.value} ({ent.shape})"
+            if ent.shape in ROUND_SHAPES:
+                records.append((_ROUND, ex, ey, dims[0] / 2.0, message))
+            else:
+                records.append((_BOX, ex, ey, dims[0] / 2.0, dims[1] / 2.0, message))
+        elif ent.kind is EntityKind.TUNNEL:
+            passage = attrs["passage_width"] / 2.0
+            apex = attrs["height"] if attrs.get("cross_section") == "triangle" else None
+            records.append((_TUNNEL, ex, ey, attrs["outer_halfwidth"] + r,
+                            dims[0] / 2.0, dims[0] / 2.0 + r, passage, apex, passage - r))
+        elif ent.kind is EntityKind.BAR:
+            records.append((_BAR, ex, ey, dims[0] / 2.0 + r, dims[1] / 2.0,
+                            attrs["clearance"]))
+    return records
+
+
+def _first_violation(records: list[tuple], x: float, y: float, h_z: float,
+                     s_y: float, r: float) -> str | None:
+    """The violation of the first record the robot at (x, y) with body height
+    ``h_z`` and stance ``s_y`` breaks, or None."""
+    for rec in records:
+        tag, ex, ey = rec[0], rec[1], rec[2]
+        if tag == _ROUND:
+            if ((x - ex) ** 2 + (y - ey) ** 2) ** 0.5 - rec[3] < r:
+                return rec[4]
+        elif tag == _BOX:
+            hx, hy = rec[3], rec[4]
+            dx = max(abs(x - ex) - hx, 0.0)
+            dy = max(abs(y - ey) - hy, 0.0)
+            if dx == 0.0 and dy == 0.0:
+                distance = max(abs(x - ex) - hx, abs(y - ey) - hy)
+            else:
+                distance = (dx * dx + dy * dy) ** 0.5
+            if distance < r:
+                return rec[5]
+        elif tag == _TUNNEL:
+            _, _, _, outer_r, half_depth, half_depth_r, passage, apex, face = rec
+            lateral = abs(y - ey)
+            if lateral >= outer_r:
+                continue  # not at this tunnel at all
+            if abs(x - ex) <= half_depth:
+                # Triangular cross-sections narrow linearly toward the apex.
+                half = passage if apex is None else passage * max(0.0, 1.0 - h_z / apex)
+                if lateral > max(half - r, 0.0):
+                    return "footprint hit tunnel wall"
+                if s_y > 2.0 * half:
+                    return "stance wider than tunnel passage"
+            elif abs(x - ex) < half_depth_r:
+                # Approaching the wall faces; conservative at the corners.
+                if lateral > face:
+                    return "footprint hit tunnel wall"
+        elif abs(x - ex) <= rec[3] and abs(y - ey) <= rec[4] and h_z >= rec[5]:  # _BAR
+            return "body height above bar clearance"
+    return None
 
 
 def check_collision(pose, body: BodyState, entities: list[Entity],
@@ -64,36 +141,9 @@ def check_collision(pose, body: BodyState, entities: list[Entity],
     """Return a violation description if the robot footprint at ``pose``
     intersects solid geometry (obstacles, letter boxes, tunnel walls) or
     ``body`` fails the bar/tunnel height constraints; None otherwise."""
-    config = config or SimConfig()
+    r = (config or SimConfig()).footprint_radius
     x, y, _ = pose
-    r = config.footprint_radius
-    for ent in entities:
-        if ent.kind in SOLID_KINDS:
-            if ent.footprint_distance(x, y) < r:
-                return f"footprint hit {ent.kind.value} ({ent.shape})"
-        elif ent.kind is EntityKind.TUNNEL:
-            ex, ey, _ = ent.pose
-            depth = ent.dims[0]
-            lateral = abs(y - ey)
-            outer = ent.attributes["outer_halfwidth"]
-            if lateral >= outer + r:
-                continue  # not at this tunnel at all
-            if abs(x - ex) <= depth / 2.0:
-                half = tunnel_passable_halfwidth(ent, body.h_z)
-                if lateral > max(half - r, 0.0):
-                    return "footprint hit tunnel wall"
-                if body.s_y > 2.0 * half:
-                    return "stance wider than tunnel passage"
-            elif abs(x - ex) < depth / 2.0 + r:
-                # Approaching the wall faces; conservative at the corners.
-                if lateral > ent.attributes["passage_width"] / 2.0 - r:
-                    return "footprint hit tunnel wall"
-        elif ent.kind is EntityKind.BAR:
-            bx, by, _ = ent.pose
-            if abs(x - bx) <= ent.dims[0] / 2.0 + r and abs(y - by) <= ent.dims[1] / 2.0:
-                if body.h_z >= ent.attributes["clearance"]:
-                    return "body height above bar clearance"
-    return None
+    return _first_violation(_collision_records(entities, r), x, y, body.h_z, body.s_y, r)
 
 
 def _distance_to_target(state: WorldState, scene: Scene) -> float:
@@ -165,6 +215,14 @@ class Simulator:
         self.state = scene.initial_state(self.config.standing_height)
         self.status = Status.RUNNING
         self.violation: str | None = None
+        r = self.config.footprint_radius
+        self._records = _collision_records(self.state.entities, r)
+        # The robot has crossed a bar once its x passes the bar's far face
+        # plus the footprint radius.
+        self._bar_crossed_at = tuple(
+            ent.pose[0] + ent.dims[0] / 2.0 + r
+            for ent in scene.entities if ent.kind is EntityKind.BAR
+        )
         self._maybe_mark_success()
 
     @property
@@ -183,22 +241,53 @@ class Simulator:
             raise SimulationError(f"episode already terminal ({self.status.value})")
         cfg = self.config
         rates, slew = cfg.rates, cfg.slew
-        pose, body = self.state.robot_pose, self.state.body
         dt = rates.substep_dt
+        r = cfg.footprint_radius
+        records, bars = self._records, self._bar_crossed_at
+        state = self.state
+        passed = state.bar_passed
+        x, y, yaw = state.robot_pose
+        v_x, v_y, omega_z = a.v_x, a.v_y, a.omega_z
+        # The body slews independently of the pose; the collision check reads
+        # the body height and stance of each substep.
+        n = rates.substeps
+        body = state.body
+        h_zs = _slew_path(body.h_z, a.h_z, slew.h_z * dt, n)
+        s_ys = _slew_path(body.s_y, a.s_y, slew.s_y * dt, n)
         collided = None
-        for _ in range(rates.substeps):
-            pose, body = _integrate_substep(pose, body, a, slew, dt)
-            self._update_crossings(pose[0])
-            collided = check_collision(pose, body, self.state.entities, cfg)
-            if collided is not None:
-                break
+        for k in range(n):
+            # Translate with the current yaw, then rotate.
+            cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
+            x += (v_x * cos_yaw - v_y * sin_yaw) * dt
+            y += (v_x * sin_yaw + v_y * cos_yaw) * dt
+            yaw += omega_z * dt
+            if not passed and bars:
+                passed = any(x > crossed_at for crossed_at in bars)
+            if records:
+                collided = _first_violation(records, x, y, h_zs[k], s_ys[k], r)
+                if collided is not None:
+                    break
+        pose = (x, y, yaw)
         if not all(math.isfinite(v) for v in pose):
             raise SimulationError(f"non-finite pose after integration: {pose}")
 
-        step_count = self.state.step_count + 1
+        step_count = state.step_count + 1
+        theta = body.theta
+        body = BodyState(
+            h_z=h_zs[k],
+            phi=_slew_path(body.phi, a.phi, slew.phi * dt, n)[k],
+            s_y=s_ys[k],
+            h_z_f=_slew_path(body.h_z_f, a.h_z_f, slew.h_z_f * dt, n)[k],
+            theta=(
+                _slew_path(theta[0], a.theta_1, slew.theta * dt, n)[k],
+                _slew_path(theta[1], a.theta_2, slew.theta * dt, n)[k],
+                _slew_path(theta[2], a.theta_3, slew.theta * dt, n)[k],
+            ),
+            f=_slew_path(body.f, a.f, slew.f * dt, n)[k],
+        )
         self.state = replace(
-            self.state, robot_pose=pose, body=body,
-            sim_time=step_count / rates.f_low, step_count=step_count,
+            state, robot_pose=pose, body=body, sim_time=step_count / rates.f_low,
+            step_count=step_count, bar_passed=passed,
         )
         self._update_orientation_hold()
         self._maybe_release_ball()
@@ -224,14 +313,6 @@ class Simulator:
         if out.status is Status.SUCCESS:
             self.status = Status.SUCCESS
 
-    def _update_crossings(self, x: float) -> None:
-        if self.state.bar_passed:
-            return
-        for ent in self.scene.entities:
-            if ent.kind is EntityKind.BAR:
-                if x > ent.pose[0] + ent.dims[0] / 2.0 + self.config.footprint_radius:
-                    self.state.bar_passed = True
-
     def _update_orientation_hold(self) -> None:
         if self.scene.task.skill is not Skill.DISTINGUISH:
             return
@@ -249,5 +330,6 @@ class Simulator:
         d = self.config.throw_distance
         landed = replace(carried, pose=(x + d * math.cos(yaw), y + d * math.sin(yaw), 0.0))
         self.state.entities = self.state.entities + [landed]
+        self._records = _collision_records(self.state.entities, self.config.footprint_radius)
         self.state.carried_object = None
         self.state.ball_released = True

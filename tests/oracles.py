@@ -4,17 +4,26 @@ These deliberately re-derive results from first principles (textbook
 Dijkstra over the same movement rule, a disk stamped around every occupied
 cell, pinhole projection area, a full sort for nearest neighbours) instead of
 calling the code under test, so agreement is evidence of correctness rather
-than tautology.
+than tautology. The world-layer references (``step_reference``,
+``render_reference``) are the straightforward per-substep, per-entity forms
+of the simulator and renderer: a fresh ``BodyState`` and a walk over every
+entity on each substep, one projection per entity on each frame.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from dataclasses import replace
 
 import numpy as np
 
+from quadkit.config import CameraConfig, SimConfig
 from quadkit.expert.grid import OccupancyGrid
+from quadkit.world.camera import COLOR_RGB, GROUND_RGB, SKY_RGB
+from quadkit.world.entities import ROUND_SHAPES, SOLID_KINDS, EntityKind
+from quadkit.world.sim import SimulationError, check_success
+from quadkit.world.state import BodyState, Status
 
 SQRT2 = math.sqrt(2.0)
 
@@ -128,3 +137,177 @@ def block_mean_pool(image: np.ndarray, rows: int = 6, cols: int = 8) -> np.ndarr
     rh, rw = h // rows, w // cols
     blocks = image[: rh * rows, : rw * cols].reshape(rows, rh, cols, rw, c)
     return blocks.mean(axis=(1, 3)).reshape(-1) / 255.0
+
+
+# -- world layer -------------------------------------------------------------------
+
+
+def _slew(current: float, target: float, rate: float, dt: float) -> float:
+    step = rate * dt
+    if target > current:
+        return min(current + step, target)
+    return max(current - step, target)
+
+
+def _integrate_substep(pose, body: BodyState, cmd, slew, dt: float):
+    """One high-rate substep: translate with the current yaw, then rotate,
+    then slew body parameters."""
+    x, y, yaw = pose
+    x += (cmd.v_x * math.cos(yaw) - cmd.v_y * math.sin(yaw)) * dt
+    y += (cmd.v_x * math.sin(yaw) + cmd.v_y * math.cos(yaw)) * dt
+    yaw += cmd.omega_z * dt
+    new_body = BodyState(
+        h_z=_slew(body.h_z, cmd.h_z, slew.h_z, dt),
+        phi=_slew(body.phi, cmd.phi, slew.phi, dt),
+        s_y=_slew(body.s_y, cmd.s_y, slew.s_y, dt),
+        h_z_f=_slew(body.h_z_f, cmd.h_z_f, slew.h_z_f, dt),
+        theta=(
+            _slew(body.theta[0], cmd.theta_1, slew.theta, dt),
+            _slew(body.theta[1], cmd.theta_2, slew.theta, dt),
+            _slew(body.theta[2], cmd.theta_3, slew.theta, dt),
+        ),
+        f=_slew(body.f, cmd.f, slew.f, dt),
+    )
+    return (x, y, yaw), new_body
+
+
+def footprint_distance(ent, x: float, y: float) -> float:
+    """Distance from (x, y) to an entity's footprint boundary (<= 0 inside):
+    a circle of diameter dx for round shapes, else the axis-aligned box."""
+    ex, ey, _ = ent.pose
+    if ent.shape in ROUND_SHAPES:
+        return ((x - ex) ** 2 + (y - ey) ** 2) ** 0.5 - ent.dims[0] / 2.0
+    hx, hy = ent.dims[0] / 2.0, ent.dims[1] / 2.0
+    dx = max(abs(x - ex) - hx, 0.0)
+    dy = max(abs(y - ey) - hy, 0.0)
+    if dx == 0.0 and dy == 0.0:
+        return max(abs(x - ex) - hx, abs(y - ey) - hy)
+    return (dx * dx + dy * dy) ** 0.5
+
+
+def _passable_halfwidth(tunnel, body_height: float) -> float:
+    passage = tunnel.attributes["passage_width"] / 2.0
+    if tunnel.attributes.get("cross_section") == "triangle":
+        height = tunnel.attributes["height"]
+        return passage * max(0.0, 1.0 - body_height / height)
+    return passage
+
+
+def collision_reference(pose, body: BodyState, entities, config: SimConfig) -> str | None:
+    """The first violation of any entity, walking the entity list in order."""
+    x, y, _ = pose
+    r = config.footprint_radius
+    for ent in entities:
+        if ent.kind in SOLID_KINDS:
+            if footprint_distance(ent, x, y) < r:
+                return f"footprint hit {ent.kind.value} ({ent.shape})"
+        elif ent.kind is EntityKind.TUNNEL:
+            ex, ey, _ = ent.pose
+            depth = ent.dims[0]
+            lateral = abs(y - ey)
+            outer = ent.attributes["outer_halfwidth"]
+            if lateral >= outer + r:
+                continue
+            if abs(x - ex) <= depth / 2.0:
+                half = _passable_halfwidth(ent, body.h_z)
+                if lateral > max(half - r, 0.0):
+                    return "footprint hit tunnel wall"
+                if body.s_y > 2.0 * half:
+                    return "stance wider than tunnel passage"
+            elif abs(x - ex) < depth / 2.0 + r:
+                if lateral > ent.attributes["passage_width"] / 2.0 - r:
+                    return "footprint hit tunnel wall"
+        elif ent.kind is EntityKind.BAR:
+            bx, by, _ = ent.pose
+            if abs(x - bx) <= ent.dims[0] / 2.0 + r and abs(y - by) <= ent.dims[1] / 2.0:
+                if body.h_z >= ent.attributes["clearance"]:
+                    return "body height above bar clearance"
+    return None
+
+
+def step_reference(sim, a):
+    """Advance ``sim`` by one command tick, integrating each substep with a
+    fresh ``BodyState`` and checking bar crossings and collisions against
+    every entity; the per-tick bookkeeping is the simulator's own."""
+    if sim.done:
+        raise SimulationError(f"episode already terminal ({sim.status.value})")
+    cfg = sim.config
+    rates = cfg.rates
+    pose, body = sim.state.robot_pose, sim.state.body
+    collided = None
+    for _ in range(rates.substeps):
+        pose, body = _integrate_substep(pose, body, a, cfg.slew, rates.substep_dt)
+        for ent in sim.scene.entities:
+            if (ent.kind is EntityKind.BAR
+                    and pose[0] > ent.pose[0] + ent.dims[0] / 2.0 + cfg.footprint_radius):
+                sim.state.bar_passed = True
+        collided = collision_reference(pose, body, sim.state.entities, cfg)
+        if collided is not None:
+            break
+    if not all(math.isfinite(v) for v in pose):
+        raise SimulationError(f"non-finite pose after integration: {pose}")
+    step_count = sim.state.step_count + 1
+    sim.state = replace(sim.state, robot_pose=pose, body=body,
+                        sim_time=step_count / rates.f_low, step_count=step_count)
+    sim._update_orientation_hold()
+    sim._maybe_release_ball()
+    if collided is not None:
+        sim.status, sim.violation = Status.COLLISION, collided
+    elif not sim._in_arena():
+        sim.status = Status.OUT_OF_BOUNDS
+    else:
+        sim.status = check_success(sim.state, sim.scene.task, sim.scene, cfg).status
+    return sim.outcome()
+
+
+def render_reference(state, intrinsics: CameraConfig | None = None) -> np.ndarray:
+    """First-person raster with one pinhole projection per entity, far first."""
+    cam = intrinsics or CameraConfig()
+    w, h = cam.width, cam.height
+    fx = (w / 2.0) / math.tan(math.radians(cam.hfov_deg) / 2.0)
+    cx, cy_px = w / 2.0, h / 2.0
+
+    x, y, yaw = state.robot_pose
+    pitch = state.body.phi
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    forward = np.array([cp * cy, cp * sy, sp])
+    right = np.array([sy, -cy, 0.0])
+    down = np.cross(forward, right)
+    cam_pos = np.array([
+        x + cam.forward_offset * math.cos(yaw),
+        y + cam.forward_offset * math.sin(yaw),
+        state.body.h_z + cam.height_offset,
+    ])
+
+    img = np.empty((h, w, 3), dtype=np.uint8)
+    horizon = cy_px + fx * math.tan(pitch)
+    split = min(max(int(math.ceil(horizon)), 0), h)
+    img[:split] = SKY_RGB
+    img[split:] = GROUND_RGB
+
+    order = sorted(
+        state.entities,
+        key=lambda e: -((e.pose[0] - x) ** 2 + (e.pose[1] - y) ** 2),
+    )
+    for ent in order:
+        ex, ey, _ = ent.pose
+        hx, hy, dz = ent.dims[0] / 2.0, ent.dims[1] / 2.0, ent.dims[2]
+        corners = np.array([
+            [ex + sx * hx, ey + sy_ * hy, z]
+            for sx in (-1, 1) for sy_ in (-1, 1) for z in (0.0, dz)
+        ])
+        rel = corners - cam_pos
+        zc = rel @ forward
+        if (zc <= cam.near_plane).all():
+            continue
+        zc = np.maximum(zc, cam.near_plane)
+        u = cx + fx * (rel @ right) / zc
+        v = cy_px + fx * (rel @ down) / zc
+        u0, u1 = int(round(u.min())), int(round(u.max()))
+        v0, v1 = int(round(v.min())), int(round(v.max()))
+        u0, u1 = max(u0, 0), min(u1, w)
+        v0, v1 = max(v0, 0), min(v1, h)
+        if u0 < u1 and v0 < v1:
+            img[v0:v1, u0:u1] = COLOR_RGB[ent.color]
+    return img

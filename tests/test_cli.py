@@ -252,6 +252,17 @@ def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("rate", ["-0.2", "NaN", "Infinity"])
+def test_bad_slew_rate_is_a_usage_error(tmp_path, capsys, rate):
+    bad = tmp_path / "slew.json"
+    bad.write_text('{"sim": {"slew": {"phi": %s}}}' % rate)
+    code, _ = run_cli("--config", str(bad), "collect", "--out", str(tmp_path / "store"),
+                      "--task", "go_to", "--count", "1")
+    assert code == 2
+    assert "slew rate phi" in capsys.readouterr().err
+    assert not (tmp_path / "store").exists()
+
+
 def test_config_round_trip_is_exact(tmp_path):
     cfg = replace(RunConfig(), sim=replace(RunConfig().sim, max_ticks=7,
                                            rates=RateConfig(f_high=100.0)))

@@ -18,6 +18,8 @@ from quadkit.world.camera import (
 from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.state import BodyState, WorldState
 
+from oracles import render_reference
+
 
 def cube_at(x: float, size: float = 0.6, color: Color = Color.RED) -> Entity:
     return Entity(EntityKind.TARGET_OBJECT, "cube", color, (x, 0.0, 0.0),
@@ -135,3 +137,56 @@ def test_observation_image_is_write_protected():
     obs = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
         obs.image[0, 0] = 0
+
+
+def _entity_around(rng, cx: float, cy: float, spread: float) -> Entity:
+    color = list(COLOR_RGB)[int(rng.integers(len(COLOR_RGB)))]
+    kind = list(EntityKind)[int(rng.integers(len(EntityKind)))]
+    pose = (cx + float(rng.uniform(-spread, spread)),
+            cy + float(rng.uniform(-spread, spread)), float(rng.uniform(-3.0, 3.0)))
+    dims = tuple(float(d) for d in rng.uniform(0.02, 1.5, size=3))
+    return Entity(kind, "cube", color, pose, dims)
+
+
+def test_render_matches_the_per_entity_reference_bytes():
+    rng = np.random.default_rng(5)
+    cams = [CameraConfig(), CameraConfig(width=37, height=23, hfov_deg=100.0,
+                                         forward_offset=0.0, near_plane=0.3)]
+    for i in range(400):
+        cam = cams[i % 2]
+        x, y, yaw = (float(v) for v in rng.uniform(-3.0, 3.0, size=3))
+        body = BodyState(h_z=float(rng.uniform(0.05, 0.4)), phi=float(rng.uniform(-0.6, 0.6)))
+        # Entities ahead, behind, and on the camera itself (straddling the
+        # near plane); none, one or many per frame.
+        cam_x = x + cam.forward_offset * math.cos(yaw)
+        cam_y = y + cam.forward_offset * math.sin(yaw)
+        n = (0, 1, 2, 7, 25)[i % 5]
+        entities = [_entity_around(rng, cam_x, cam_y, (0.3, 4.0)[j % 2]) for j in range(n)]
+        if i % 4 == 0:
+            entities.append(_entity_around(rng, cam_x - 3.0 * math.cos(yaw),
+                                           cam_y - 3.0 * math.sin(yaw), 0.5))
+        state = WorldState(robot_pose=(x, y, yaw), body=body, entities=entities)
+        got = render_observation(state, cam).image
+        assert got.tobytes() == render_reference(state, cam).tobytes()
+
+
+def test_render_edge_cases_match_the_reference():
+    on_camera = Entity(EntityKind.OBSTACLE, "cube", Color.RED, (0.18, 0.0, 0.0),
+                       (1.0, 1.0, 1.0))  # corners on both sides of the near plane
+    behind = cube_at(-2.0, color=Color.BLUE)
+    tied = [cube_at(2.0, color=Color.GREEN), cube_at(2.0, size=0.3, color=Color.PINK)]
+    for entities in ([], [on_camera], [behind], [behind, on_camera], tied, tied[::-1]):
+        for pose in ((0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (1e-9, 0.0, math.pi)):
+            state = WorldState(robot_pose=pose, entities=entities)
+            assert (render_observation(state).image.tobytes()
+                    == render_reference(state).tobytes())
+    # A near face at depth fx, 0.5 m right of the axis, has its right edge at
+    # exactly u = w/2 + 0.5: both round it half to even, to an empty box.
+    cam = CameraConfig(forward_offset=0.0)
+    fx = (cam.width / 2.0) / math.tan(math.radians(cam.hfov_deg) / 2.0)
+    half_pixel = Entity(EntityKind.OBSTACLE, "cube", Color.ORANGE, (fx + 0.25, 0.0, 0.0),
+                        (0.5, 1.0, 1.3))
+    state = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[half_pixel])
+    image = render_observation(state, cam).image
+    assert image.tobytes() == render_reference(state, cam).tobytes()
+    assert count_color(image, Color.ORANGE) == 0

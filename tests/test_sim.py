@@ -5,13 +5,18 @@ from dataclasses import replace
 
 import pytest
 
+import numpy as np
+
 from quadkit.actions import ActionCommand
-from quadkit.config import SimConfig
+from quadkit.config import RateConfig, SimConfig, SlewConfig
+from quadkit.expert import sample_scene
 from quadkit.taxonomy import Color, GaitName, ObjectRef, Skill, SpeedLevel, TaskSpec
 from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.scene import Scene
 from quadkit.world.sim import SimulationError, Simulator, check_collision, check_success
 from quadkit.world.state import BodyState, Status, WorldState
+
+from oracles import footprint_distance, step_reference
 
 
 def task(skill: Skill, obj: ObjectRef | None = None) -> TaskSpec:
@@ -109,6 +114,98 @@ def test_non_finite_command_poisons_integration_loudly():
         sim.step(neutral_command(v_x=float("nan")))
 
 
+def _extra_entities(rng, around_start: bool) -> list[Entity]:
+    """Blocking geometry of every kind near the robot's path: a round and a
+    box obstacle, a letter box, a bar and tunnels of both cross-sections,
+    the triangular one around the start pose if ``around_start``."""
+    def near(dx, dy=1.0):
+        return (float(rng.uniform(0.3, 2.5)) * dx, float(rng.uniform(-dy, dy)), 0.0)
+    tunnel_attrs = {"passage_width": 1.1, "outer_halfwidth": 0.65,
+                    "wall_thickness": 0.1, "height": 0.6}
+    return [
+        Entity(EntityKind.OBSTACLE, "cylinder", Color.BLUE, near(1.0), (0.3, 0.3, 0.4)),
+        Entity(EntityKind.OBSTACLE, "cube", Color.RED, near(1.0), (0.45, 0.3, 0.5)),
+        Entity(EntityKind.LETTER_BOX, "letter box", Color.GREEN, near(-1.0), (0.4, 0.4, 0.4)),
+        Entity(EntityKind.BAR, "bar", Color.YELLOW, near(1.0), (0.06, 2.2, 0.06),
+               attributes={"clearance": float(rng.uniform(0.1, 0.3))}),
+        Entity(EntityKind.TUNNEL, "triangle tunnel", Color.PINK,
+               (0.0, 0.0, 0.0) if around_start else near(1.0, 0.1), (0.8, 1.3, 0.6),
+               attributes={**tunnel_attrs, "cross_section": "triangle"}),
+        Entity(EntityKind.TUNNEL, "rectangle tunnel", Color.GOLD, near(-1.0), (0.8, 1.3, 0.6),
+               attributes={**tunnel_attrs, "cross_section": "rectangle"}),
+    ]
+
+
+def _random_command(rng, body: BodyState) -> ActionCommand:
+    """Each field is +0.0, -0.0, the body's current value or a random value."""
+    current = {"theta_1": body.theta[0], "theta_2": body.theta[1],
+               "theta_3": body.theta[2], "f": body.f, "h_z": body.h_z,
+               "phi": body.phi, "s_y": body.s_y, "h_z_f": body.h_z_f}
+    ranges = {"v_x": (-1.5, 1.5), "v_y": (-1.5, 1.5), "omega_z": (-1.5, 1.5),
+              "theta_1": (0.0, 1.0), "theta_2": (0.0, 1.0), "theta_3": (0.0, 1.0),
+              "f": (1.5, 4.0), "h_z": (0.05, 0.4), "phi": (-0.5, 0.8),
+              "s_y": (0.0, 1.2), "h_z_f": (0.03, 0.25)}
+    values = {}
+    for name, (lo, hi) in ranges.items():
+        pick = int(rng.integers(4))
+        if pick < 2:
+            values[name] = (0.0, -0.0)[pick]
+        elif pick == 2 and name in current:
+            values[name] = current[name]
+        else:
+            values[name] = float(rng.uniform(lo, hi))
+    return ActionCommand(**values)
+
+
+def test_step_matches_the_per_substep_reference_bit_for_bit():
+    rng = np.random.default_rng(11)
+    configs = [
+        SimConfig(),
+        SimConfig(slew=SlewConfig(h_z=0.0, phi=0.0, s_y=0.0, h_z_f=0.0, f=0.0, theta=0.0)),
+        SimConfig(slew=SlewConfig(h_z=0.0, phi=2.0, s_y=0.05, theta=0.0),
+                  rates=RateConfig(f_high=40.0, f_low=4.0)),
+    ]
+    seen = {"violations": set(), "statuses": set(), "bar_passed": 0, "released": 0}
+    for episode in range(150):
+        # Scripted episodes: stand still inside a triangle tunnel and widen
+        # the stance, or crouch and drive straight under a crawl scene's bar.
+        stance, crouch = episode % 10 == 5, episode % 10 == 0
+        skill = Skill.CRAWL if crouch else list(Skill)[episode % len(Skill)]
+        scene = sample_scene(task(skill), seed=episode)
+        if stance or (episode % 3 and not crouch):
+            scene = replace(scene, entities=scene.entities + _extra_entities(rng, stance))
+        cfg = SimConfig() if stance or crouch else configs[episode % len(configs)]
+        sim, ref = Simulator(scene, cfg), Simulator(scene, cfg)
+        for _ in range(20):
+            if sim.done:
+                break
+            cmd = _random_command(rng, sim.state.body)
+            if stance:
+                cmd = replace(cmd, v_x=0.0, v_y=-0.0, omega_z=0.0, s_y=1.2)
+            elif crouch:
+                cmd = replace(cmd, v_x=1.0, v_y=0.0, omega_z=0.0, h_z=0.05)
+            out, want = sim.step(cmd), step_reference(ref, cmd)
+            assert out == want
+            assert (sim.status, sim.violation) == (ref.status, ref.violation)
+            assert sim.state == ref.state
+            # repr tells -0.0 from 0.0, which == does not.
+            assert repr(out) == repr(want)
+            assert repr(sim.state) == repr(ref.state)
+        seen["violations"].add(sim.violation)
+        seen["statuses"].add(sim.status)
+        seen["bar_passed"] += sim.state.bar_passed
+        seen["released"] += sim.state.ball_released
+    # The sample reaches every kind of violation, and releases the ball.
+    assert seen["violations"] >= {
+        None, "footprint hit obstacle (cylinder)", "footprint hit obstacle (cube)",
+        "footprint hit letter_box (letter box)", "footprint hit tunnel wall",
+        "stance wider than tunnel passage",
+        "body height above bar clearance",
+    }
+    assert {Status.SUCCESS, Status.COLLISION, Status.OUT_OF_BOUNDS} <= seen["statuses"]
+    assert seen["bar_passed"] and seen["released"]
+
+
 # -- collision -----------------------------------------------------------------
 
 
@@ -126,7 +223,7 @@ def test_collision_is_detected_within_one_substep_of_contact():
     # A tick-level check would allow up to v*tick_dt = 0.5 m of penetration;
     # the substep probe stops within one substep of first contact.
     x, y, _ = sim.state.robot_pose
-    penetration = cfg.footprint_radius - wall.footprint_distance(x, y)
+    penetration = cfg.footprint_radius - footprint_distance(wall, x, y)
     assert penetration >= 0.0
     assert penetration <= 1.0 * cfg.rates.substep_dt + 1e-9
     assert out.violation and "obstacle" in out.violation

@@ -3,6 +3,7 @@ validation, concurrent shard commits, and statistics."""
 
 import hashlib
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -195,6 +196,49 @@ def test_concurrent_writers_commit_every_shard(tmp_path):
     assert len(store.shards) == 8
     assert store.validate() == []
     assert not (root / ".manifest.lock").exists()
+
+
+def test_a_pass_decodes_each_distinct_image_once(tmp_path, monkeypatch):
+    root = tmp_path / "s"
+    store = EpisodeStore.create(root, SPACE)
+    # Repeats within an episode, across episodes and across shards.
+    store.write_shard("a", [make_episode(0, image_seed=1, n_steps=3),
+                            make_episode(1, n_steps=2)])
+    store.write_shard("b", [make_episode(2, image_seed=1, n_steps=2),
+                            make_episode(3, image_seed=5, n_steps=4)])
+    loads = []
+    load_image = EpisodeStore.load_image
+
+    def counted(self, sha):
+        loads.append(sha)
+        return load_image(self, sha)
+
+    monkeypatch.setattr(EpisodeStore, "load_image", counted)
+    eps = list(EpisodeStore.open(root).iter_episodes())
+    assert sorted(loads) == sorted(set(loads))
+    assert len(loads) == len(list((root / "obs").rglob("*.ppm"))) == 4
+    images = [step.image for ep in eps for step in ep.steps]
+    assert len(images) == 11
+    assert images[0] is images[1] is images[5] is images[6]
+    assert not images[0].flags.writeable
+    for ep, i in zip(eps, range(4)):
+        expected = make_episode(i, image_seed=(1, None, 1, 5)[i], n_steps=len(ep.steps))
+        for got, want in zip(ep.steps, expected.steps):
+            assert np.array_equal(got.image, want.image)
+    # Every pass decodes afresh: nothing is held between passes.
+    loads.clear()
+    list(EpisodeStore.open(root).iter_episodes(shard="b"))
+    assert len(loads) == 2
+
+
+def test_a_stale_lock_file_does_not_delay_commits(tmp_path):
+    root = tmp_path / "s"
+    store = EpisodeStore.create(root, SPACE)
+    (root / ".manifest.lock").write_bytes(b"")  # left by a killed writer
+    start = time.monotonic()
+    store.write_shard("a", [make_episode(0)])
+    assert time.monotonic() - start < 5.0
+    assert EpisodeStore.open(root).episode_count == 1
 
 
 def test_stats_reflect_outcomes_and_lengths(tmp_path):
