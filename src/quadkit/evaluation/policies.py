@@ -37,6 +37,7 @@ from ..taxonomy import Color, GaitName, Skill, SpeedLevel, TaskSpec, LETTERS
 from ..world.camera import Observation
 from ..world.sim import Simulator
 from .. import expert
+from ..expert.collect import expert_tracker
 
 
 @runtime_checkable
@@ -58,18 +59,11 @@ class OraclePolicy:
 
     def bind(self, sim: Simulator) -> None:
         """Attach the live episode and plan its path."""
-        from ..expert.collect import plan_for_task
-
-        scene = sim.scene
         self._sim = sim
         try:
-            path = plan_for_task(scene, self.run)
+            self._tracker = expert_tracker(sim.scene, self.run)
         except expert.NoPathError:
             self._tracker = None
-            return
-        self._tracker = expert.PathTracker(
-            scene.task, scene, path, self.run.expert, self.run.sim
-        )
 
     def act(self, obs: Observation, instruction: str) -> ActionTokens:
         if self._sim is None:

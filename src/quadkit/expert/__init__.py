@@ -1,6 +1,5 @@
 from .grid import OccupancyGrid, grid_from_scene
-from .astar import (NoPathError, PlannedPath, line_of_sight, plan_astar,
-                    grid_neighbors, octile, smooth_path)
+from .astar import NoPathError, PlannedPath, line_of_sight, plan_astar, smooth_path
 from .dstar_lite import DStarLitePlanner
 from .scenes import sample_scene
 from .tracker import PathTracker
@@ -14,8 +13,6 @@ __all__ = [
     "plan_astar",
     "smooth_path",
     "line_of_sight",
-    "grid_neighbors",
-    "octile",
     "DStarLitePlanner",
     "sample_scene",
     "PathTracker",

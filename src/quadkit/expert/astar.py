@@ -4,8 +4,9 @@ Movement contract (shared by every planner in this package and by their
 tests): 8-connected moves between free cells, cardinal steps cost one cell
 resolution, diagonal steps cost resolution * sqrt(2), and a diagonal move is
 legal only when both adjacent cardinal cells are free (no corner cutting).
-The octile heuristic is consistent under this contract, so returned costs
-are optimal.
+``search_space`` is the contract's only encoding; A* here and D* Lite in
+:mod:`.dstar_lite` both search it. The octile heuristic is consistent under
+this contract, so returned costs are optimal.
 """
 
 from __future__ import annotations
@@ -48,20 +49,37 @@ def octile(a: Cell, b: Cell, resolution: float) -> float:
     return resolution * (max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy))
 
 
-def grid_neighbors(grid: OccupancyGrid, cell: Cell):
-    """Yield (neighbor, step_cost_m) pairs under the movement contract."""
-    x, y = cell
+def search_space(grid: OccupancyGrid) -> tuple[bytearray, int, tuple]:
+    """The movement contract on flat indices: ``(free, width, moves)``.
+
+    ``free`` has one byte per cell of the grid padded by one blocked cell per
+    side, so cell ``(x, y)`` is ``(y + 1) * width + x + 1`` and no move needs
+    a bounds check. A move ``(offset, step cost, side_a, side_b)`` from ``i``
+    is legal when ``i + offset``, ``i + side_a`` and ``i + side_b`` are free:
+    a diagonal names the cardinals it must not cut, a cardinal its own target.
+    """
     res = grid.resolution
-    for dx, dy in NEIGHBOR_OFFSETS:
-        nxt = (x + dx, y + dy)
-        if not grid.is_free(nxt):
-            continue
-        if dx != 0 and dy != 0:
-            if not (grid.is_free((x + dx, y)) and grid.is_free((x, y + dy))):
-                continue
-            yield nxt, res * SQRT2
-        else:
-            yield nxt, res
+    width = grid.nx + 2
+    free = bytearray(np.pad(~grid.occupied, 1).tobytes())
+    moves = tuple(
+        (dy * width + dx, res * SQRT2, dx, dy * width) if dx and dy
+        else (dy * width + dx, res, dy * width + dx, dy * width + dx)
+        for dx, dy in NEIGHBOR_OFFSETS
+    )
+    return free, width, moves
+
+
+def flat_path(grid: OccupancyGrid, flat: list[int]) -> PlannedPath:
+    """The path through these ``search_space`` indices. Its cost comes from
+    step counts: optimal n_cardinal/n_diagonal pairs are unique, so
+    equal-cost planners agree bit for bit."""
+    width, res = grid.nx + 2, grid.resolution
+    cells = tuple((n % width - 1, n // width - 1) for n in flat)
+    waypoints = tuple(grid.cell_to_world(c) for c in cells)
+    diag = sum(1 for a, b in zip(cells, cells[1:]) if a[0] != b[0] and a[1] != b[1])
+    straight = len(cells) - 1 - diag
+    return PlannedPath(waypoints=waypoints, cells=cells,
+                       cost=res * straight + res * SQRT2 * diag)
 
 
 def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
@@ -79,17 +97,7 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
         raise NoPathError(f"endpoint blocked: start={start} goal={goal}")
 
     res = grid.resolution
-    # Search on flat indices into the grid padded by one blocked cell on
-    # every side, so neighbor lookups need no bounds checks.
-    width = grid.nx + 2
-    free = bytearray(np.pad(~grid.occupied, 1).tobytes())
-    # (offset, step cost, the two cardinal cells a diagonal must not cut);
-    # cardinal moves re-check their own cell (offset 0), which is free.
-    moves = tuple(
-        (dy * width + dx, res * SQRT2, dx, dy * width) if dx and dy
-        else (dy * width + dx, res, 0, 0)
-        for dx, dy in NEIGHBOR_OFFSETS
-    )
+    free, width, moves = search_space(grid)
     src = (start[1] + 1) * width + start[0] + 1
     dst = (goal[1] + 1) * width + goal[0] + 1
     # Octile heuristic of every padded cell, with octile()'s arithmetic.
@@ -109,7 +117,10 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
         if closed[cur]:
             continue
         if cur == dst:
-            return _extract(grid, parent, src, dst)
+            flat = [dst]
+            while flat[-1] != src:
+                flat.append(parent[flat[-1]])
+            return flat_path(grid, flat[::-1])
         closed[cur] = 1
         g_cur = g[cur]
         for offset, step, side_a, side_b in moves:
@@ -165,22 +176,3 @@ def smooth_path(grid: OccupancyGrid, path: PlannedPath) -> PlannedPath:
         for a, b in zip(waypoints, waypoints[1:])
     )
     return PlannedPath(waypoints=waypoints, cells=cells, cost=cost)
-
-
-def canonical_cost(cells: tuple[Cell, ...], resolution: float) -> float:
-    """Path cost from step counts: optimal n_cardinal/n_diagonal pairs are
-    unique, so equal-cost planners agree bit for bit."""
-    diag = sum(1 for a, b in zip(cells, cells[1:]) if a[0] != b[0] and a[1] != b[1])
-    straight = len(cells) - 1 - diag
-    return resolution * straight + resolution * SQRT2 * diag
-
-
-def _extract(grid: OccupancyGrid, parent: dict[int, int], src: int, dst: int) -> PlannedPath:
-    flat = [dst]
-    while flat[-1] != src:
-        flat.append(parent[flat[-1]])
-    width = grid.nx + 2
-    cells = tuple((n % width - 1, n // width - 1) for n in reversed(flat))
-    waypoints = tuple(grid.cell_to_world(c) for c in cells)
-    return PlannedPath(waypoints=waypoints, cells=cells,
-                       cost=canonical_cost(cells, grid.resolution))

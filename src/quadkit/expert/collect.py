@@ -38,6 +38,12 @@ def plan_for_task(scene, run: RunConfig):
     return smooth_path(grid, plan_astar(grid, scene.start_pose[:2], scene.goal_xy))
 
 
+def expert_tracker(scene, run: RunConfig) -> PathTracker:
+    """The expert's controller for a scene, as used for demonstrations and by
+    the oracle policy; raises NoPathError when the scene cannot be planned."""
+    return PathTracker(scene, plan_for_task(scene, run), run.expert, run.sim)
+
+
 def _record_step(steps: list[Step], obs, cmd: ActionCommand, pose,
                  space: ActionSpaceSpec) -> None:
     clamped = clamp_to_space(cmd, space)
@@ -71,13 +77,12 @@ def generate_episode(task: TaskSpec, seed: int,
     )
 
     try:
-        path = plan_for_task(scene, run)
+        tracker = expert_tracker(scene, run)
     except NoPathError:
         episode.outcome = "unplannable"
         return episode
 
     sim = Simulator(scene, run.sim)
-    tracker = PathTracker(task, scene, path, run.expert, run.sim)
     steps: list[Step] = []
     while not sim.done:
         obs = render_observation(sim.state, run.sim.camera)

@@ -2,9 +2,10 @@
 
 Implements the two-key formulation with a lazy priority queue: stale heap
 entries are skipped on pop instead of being removed in place. The planner
-shares the movement contract of :mod:`.astar`, and after any sequence of
-``update_cell`` / ``move_start`` calls, ``plan()`` returns a path whose cost
-equals a fresh A* run on the same grid.
+searches A*'s :func:`.astar.search_space` by flat index, and a map edit flips
+one of its bytes. After any sequence of ``update_cell`` / ``move_start``
+calls, ``plan()`` returns a path whose cost equals a fresh A* run on the
+same grid.
 
 Costs are canonicalized from the extracted path (cardinal and diagonal step
 counts), which makes that equality exact in floating point: an optimal cost
@@ -17,7 +18,7 @@ import heapq
 import itertools
 import math
 
-from .astar import NoPathError, PlannedPath, canonical_cost, grid_neighbors, octile
+from .astar import NoPathError, PlannedPath, flat_path, octile, search_space
 from .grid import Cell, OccupancyGrid
 
 _INF = math.inf
@@ -28,66 +29,82 @@ class DStarLitePlanner:
 
     def __init__(self, grid: OccupancyGrid, start_xy: tuple[float, float],
                  goal_xy: tuple[float, float]):
-        self.grid = grid
+        # The grid gives the geometry; occupancy lives in self._free.
+        self._grid = grid
+        self._free, self._width, self._moves = search_space(grid)
         self.start = grid.world_to_cell(*start_xy)
         self.goal = grid.world_to_cell(*goal_xy)
         self._last = self.start
         self._km = 0.0
-        self._g: dict[Cell, float] = {}
-        self._rhs: dict[Cell, float] = {self.goal: 0.0}
-        self._heap: list[tuple[float, float, int, Cell]] = []
-        self._entries: dict[Cell, int] = {}
+        self._g = [_INF] * len(self._free)
+        self._rhs = [_INF] * len(self._free)
+        self._heap: list[tuple[float, float, int, int]] = []
+        self._entries: dict[int, int] = {}
         self._counter = itertools.count()
-        self._push(self.goal)
+        # A goal outside the grid is never entered, so it seeds nothing.
+        self._goal = self._index(self.goal)
+        if self._goal is not None:
+            self._rhs[self._goal] = 0.0
+            self._push(self._goal)
+
+    def _index(self, cell: Cell) -> int | None:
+        """Flat search-space index of an in-grid cell; None outside it."""
+        if not self._grid.in_bounds(cell):
+            return None
+        return (cell[1] + 1) * self._width + cell[0] + 1
+
+    def _neighbors(self, u: int):
+        """Yield (index, step cost) of each legal move out of ``u``."""
+        free = self._free
+        for offset, step, side_a, side_b in self._moves:
+            if free[u + offset] and free[u + side_a] and free[u + side_b]:
+                yield u + offset, step
 
     # -- queue ----------------------------------------------------------------
 
-    def _key(self, s: Cell) -> tuple[float, float]:
-        m = min(self._g.get(s, _INF), self._rhs.get(s, _INF))
-        return (m + octile(self.start, s, self.grid.resolution) + self._km, m)
+    def _key(self, s: int) -> tuple[float, float]:
+        m = min(self._g[s], self._rhs[s])
+        cell = (s % self._width - 1, s // self._width - 1)
+        return (m + octile(self.start, cell, self._grid.resolution) + self._km, m)
 
-    def _push(self, s: Cell) -> None:
+    def _push(self, s: int) -> None:
         seq = next(self._counter)
         self._entries[s] = seq
         k1, k2 = self._key(s)
         heapq.heappush(self._heap, (k1, k2, seq, s))
 
-    def _discard(self, s: Cell) -> None:
-        self._entries.pop(s, None)
-
     def _peek(self) -> tuple[float, float]:
-        while self._heap:
-            k1, k2, seq, s = self._heap[0]
-            if self._entries.get(s) == seq:
-                return (k1, k2)
-            heapq.heappop(self._heap)
-        return (_INF, _INF)
+        """Top key after dropping stale entries; (inf, inf) when empty."""
+        heap = self._heap
+        while heap and self._entries.get(heap[0][3]) != heap[0][2]:
+            heapq.heappop(heap)
+        return heap[0][:2] if heap else (_INF, _INF)
 
-    def _pop(self) -> tuple[tuple[float, float], Cell]:
-        while self._heap:
-            k1, k2, seq, s = heapq.heappop(self._heap)
-            if self._entries.get(s) == seq:
-                del self._entries[s]
-                return (k1, k2), s
-        raise NoPathError("priority queue exhausted")
+    def _pop(self) -> tuple[tuple[float, float], int]:
+        self._peek()
+        if not self._heap:
+            raise NoPathError("priority queue exhausted")
+        k1, k2, _, s = heapq.heappop(self._heap)
+        del self._entries[s]
+        return (k1, k2), s
 
     # -- core -----------------------------------------------------------------
 
-    def _update_vertex(self, u: Cell) -> None:
-        if u != self.goal:
-            if self.grid.is_free(u):
-                costs = [c + self._g.get(n, _INF) for n, c in grid_neighbors(self.grid, u)]
+    def _update_vertex(self, u: int) -> None:
+        if u != self._goal:
+            if self._free[u]:
+                costs = [c + self._g[n] for n, c in self._neighbors(u)]
                 self._rhs[u] = min(costs, default=_INF)
             else:
                 self._rhs[u] = _INF
-        self._discard(u)
-        if self._g.get(u, _INF) != self._rhs.get(u, _INF):
+        self._entries.pop(u, None)
+        if self._g[u] != self._rhs[u]:
             self._push(u)
 
-    def _compute_shortest_path(self) -> None:
-        budget = 16 * self.grid.nx * self.grid.ny + 64
-        while (self._peek() < self._key(self.start)
-               or self._rhs.get(self.start, _INF) != self._g.get(self.start, _INF)):
+    def _compute_shortest_path(self, start: int) -> None:
+        g, rhs = self._g, self._rhs
+        budget = 16 * self._grid.nx * self._grid.ny + 64
+        while self._peek() < self._key(start) or rhs[start] != g[start]:
             budget -= 1
             if budget < 0:
                 raise RuntimeError("replanning failed to converge")
@@ -95,32 +112,32 @@ class DStarLitePlanner:
             k_new = self._key(u)
             if k_old < k_new:
                 self._push(u)
-            elif self._g.get(u, _INF) > self._rhs.get(u, _INF):
-                self._g[u] = self._rhs[u]
-                for n, _ in grid_neighbors(self.grid, u):
-                    self._update_vertex(n)
+                continue
+            if g[u] > rhs[u]:
+                g[u] = rhs[u]
             else:
-                self._g[u] = _INF
+                g[u] = _INF
                 self._update_vertex(u)
-                for n, _ in grid_neighbors(self.grid, u):
-                    self._update_vertex(n)
+            for n, _ in self._neighbors(u):
+                self._update_vertex(n)
 
     # -- public API -------------------------------------------------------------
 
     def update_cell(self, cell: Cell, occupied: bool) -> None:
         """Toggle one cell's occupancy and repair the affected vertices."""
-        ix, iy = cell
-        if not self.grid.in_bounds(cell):
+        i = self._index(cell)
+        if i is None:
             raise ValueError(f"cell {cell} out of bounds")
-        if bool(self.grid.occupied[iy, ix]) == occupied:
+        if self._free[i] == (not occupied):
             return
-        self.grid = self.grid.with_cell(cell, occupied)
+        self._free[i] = not occupied
         # Every edge whose cost changed has both endpoints within one cell of
         # the toggle (diagonal legality depends on the adjacent cardinals).
+        ix, iy = cell
         for dx in (-1, 0, 1):
             for dy in (-1, 0, 1):
-                u = (ix + dx, iy + dy)
-                if self.grid.in_bounds(u):
+                u = self._index((ix + dx, iy + dy))
+                if u is not None:
                     self._update_vertex(u)
 
     def update_cells(self, changes) -> None:
@@ -129,34 +146,31 @@ class DStarLitePlanner:
 
     def move_start(self, new_start_xy: tuple[float, float]) -> None:
         """Shift the query point, keeping previous search effort valid."""
-        new_start = self.grid.world_to_cell(*new_start_xy)
+        new_start = self._grid.world_to_cell(*new_start_xy)
         if new_start == self.start:
             return
-        self._km += octile(self._last, new_start, self.grid.resolution)
+        self._km += octile(self._last, new_start, self._grid.resolution)
         self._last = new_start
         self.start = new_start
 
     def plan(self) -> PlannedPath:
         """Shortest path from the current start; cost matches a fresh A*."""
-        if not self.grid.is_free(self.start):
+        start = self._index(self.start)
+        if start is None or not self._free[start]:
             raise NoPathError(f"start {self.start} blocked")
-        self._compute_shortest_path()
-        if self._g.get(self.start, _INF) == _INF:
+        self._compute_shortest_path(start)
+        if self._g[start] == _INF:
             raise NoPathError(f"goal unreachable from {self.start}")
-        cells = [self.start]
-        seen = {self.start}
-        while cells[-1] != self.goal:
-            cur = cells[-1]
+        flat = [start]
+        seen = {start}
+        while flat[-1] != self._goal:
             best, best_cost = None, _INF
-            for n, c in grid_neighbors(self.grid, cur):
-                cand = c + self._g.get(n, _INF)
+            for n, c in self._neighbors(flat[-1]):
+                cand = c + self._g[n]
                 if cand < best_cost:
                     best, best_cost = n, cand
             if best is None or best in seen:
                 raise NoPathError("path extraction failed")
-            cells.append(best)
+            flat.append(best)
             seen.add(best)
-        cells_t = tuple(cells)
-        waypoints = tuple(self.grid.cell_to_world(c) for c in cells_t)
-        return PlannedPath(waypoints=waypoints, cells=cells_t,
-                           cost=canonical_cost(cells_t, self.grid.resolution))
+        return flat_path(self._grid, flat)

@@ -70,7 +70,7 @@ class OccupancyGrid:
         return self.in_bounds(cell) and not self.occupied[iy, ix]
 
     def with_cell(self, cell: Cell, occupied: bool) -> "OccupancyGrid":
-        """Copy of this grid with one cell toggled (for incremental planning)."""
+        """Copy of this grid with one cell toggled."""
         if not self.in_bounds(cell):
             raise ValueError(f"cell {cell} out of bounds")
         grid = self.occupied.copy()

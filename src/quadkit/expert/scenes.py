@@ -11,8 +11,6 @@ scenes.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..config import SceneConfig
@@ -66,10 +64,7 @@ def _distractor_entity(avoid: Entity, pos: tuple[float, float],
     categories = [s for s in BASIC_SHAPES if s != avoid.shape]
     category = _pick(rng, categories)
     color = _pick_color(rng, exclude=(avoid.color,))
-    return Entity(
-        kind=EntityKind.TARGET_OBJECT, shape=category, color=color,
-        pose=(pos[0], pos[1], 0.0), dims=_dims_for(category, cfg),
-    )
+    return _target_entity(ObjectRef(category, color), pos, rng, cfg)
 
 
 def sample_scene(task: TaskSpec, seed: int,
@@ -124,11 +119,7 @@ def sample_scene(task: TaskSpec, seed: int,
         goal = (tx + cfg.tunnel_depth / 2.0 + 0.6, ty)
     elif skill is Skill.CRAWL:
         clearance = float(rng.uniform(*cfg.bar_clearance_range))
-        marker = Entity(
-            kind=EntityKind.TARGET_OBJECT, shape="cube",
-            color=_pick_color(rng), pose=(tx, ty, 0.0),
-            dims=_dims_for("cube", cfg),
-        )
+        marker = _target_entity(ObjectRef("cube"), (tx, ty), rng, cfg)
         bar = Entity(
             kind=EntityKind.BAR, shape="bar", color=_pick_color(rng),
             pose=(tx - cfg.bar_offset, ty, 0.0),
@@ -163,5 +154,5 @@ def sample_scene(task: TaskSpec, seed: int,
 
     return Scene(
         task=task, entities=entities, target_index=0, goal_xy=goal,
-        start_pose=(0.0, 0.0, 0.0), metadata={"seed": int(seed)},
+        start_pose=(0.0, 0.0, 0.0),
     )

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 from ..actions import ActionCommand
 from ..config import ExpertConfig, SimConfig
-from ..taxonomy import GAIT_PHASES, Skill, TaskSpec
+from ..taxonomy import GAIT_PHASES, Skill
 from ..world.scene import Scene
 from ..world.sim import _wrap_angle
 from ..world.state import WorldState
@@ -24,19 +24,16 @@ from .astar import PlannedPath
 
 
 class PathTracker:
-    def __init__(self, task: TaskSpec, scene: Scene, path: PlannedPath | None,
+    def __init__(self, scene: Scene, path: PlannedPath | None,
                  expert: ExpertConfig | None = None,
                  sim: SimConfig | None = None):
-        self.task = task
+        self.task = scene.task
         self.scene = scene
         self.path = path
         self.expert = expert or ExpertConfig()
         self.sim = sim or SimConfig()
-        if task.skill is not Skill.DISTINGUISH and path is None:
-            raise ValueError(f"{task.skill.value} requires a planned path")
-        self.reset()
-
-    def reset(self) -> None:
+        if self.task.skill is not Skill.DISTINGUISH and path is None:
+            raise ValueError(f"{self.task.skill.value} requires a planned path")
         self._progress = 0
         self._prev_heading_err: float | None = None
         self._prev_dist: float | None = None
@@ -133,28 +130,27 @@ class PathTracker:
             v = 0.0
         return self._base_command(v, omega, phi)
 
-    def _distinguish(self, state: WorldState) -> ActionCommand:
+    def _face_target(self, state: WorldState, phi: float = 0.0) -> ActionCommand:
+        """Turn in place toward the target entity."""
         x, y, yaw = state.robot_pose
         tx, ty, _ = self.scene.target.pose
         err = _wrap_angle(math.atan2(ty - y, tx - x) - yaw)
         omega = self._heading_control(err, self.sim.rates.tick_dt)
-        return self._base_command(0.0, omega)
+        return self._base_command(0.0, omega, phi)
 
     def _unload(self, state: WorldState) -> ActionCommand:
-        x, y, yaw = state.robot_pose
+        x, y, _ = state.robot_pose
         tx, ty, _ = self.scene.target.pose
         dist = math.hypot(tx - x, ty - y)
         if state.ball_released or dist <= self.expert.unload_dump_radius:
-            err = _wrap_angle(math.atan2(ty - y, tx - x) - yaw)
-            omega = self._heading_control(err, self.sim.rates.tick_dt)
-            return self._base_command(0.0, omega, phi=self.expert.unload_dump_pitch)
+            return self._face_target(state, phi=self.expert.unload_dump_pitch)
         return self._track_path(state)
 
     def command(self, state: WorldState) -> ActionCommand:
         """Next command for the current world state."""
         skill = self.task.skill
         if skill is Skill.DISTINGUISH:
-            return self._distinguish(state)
+            return self._face_target(state)
         if skill is Skill.UNLOAD:
             return self._unload(state)
         return self._track_path(state)

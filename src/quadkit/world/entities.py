@@ -44,20 +44,3 @@ class Entity:
     def __post_init__(self):
         if min(self.dims) <= 0:
             raise ValueError(f"entity dims must be positive, got {self.dims}")
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "shape": self.shape,
-            "color": self.color.value,
-            "pose": list(self.pose),
-            "dims": list(self.dims),
-            "attributes": dict(self.attributes),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Entity":
-        return Entity(
-            EntityKind(d["kind"]), d["shape"], Color(d["color"]),
-            tuple(d["pose"]), tuple(d["dims"]), dict(d.get("attributes", {})),
-        )

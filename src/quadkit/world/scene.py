@@ -1,14 +1,8 @@
-"""Scene description: the entity layout for one task instance.
-
-Scenes serialize to JSON (see docs/format.md) so layouts can be inspected,
-edited, and replayed.
-"""
+"""Scene description: the entity layout for one task instance."""
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
 from ..taxonomy import TaskSpec
 from .entities import Entity, EntityKind
@@ -22,7 +16,6 @@ class Scene:
     target_index: int
     goal_xy: tuple[float, float]
     start_pose: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    metadata: dict = field(default_factory=dict)
 
     @property
     def target(self) -> Entity:
@@ -46,31 +39,3 @@ class Scene:
             carried_object=carried,
             entities=entities,
         )
-
-    def to_dict(self) -> dict:
-        return {
-            "task": self.task.to_dict(),
-            "entities": [e.to_dict() for e in self.entities],
-            "target_index": self.target_index,
-            "goal_xy": list(self.goal_xy),
-            "start_pose": list(self.start_pose),
-            "metadata": dict(self.metadata),
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Scene":
-        return Scene(
-            task=TaskSpec.from_dict(d["task"]),
-            entities=[Entity.from_dict(e) for e in d["entities"]],
-            target_index=d["target_index"],
-            goal_xy=tuple(d["goal_xy"]),
-            start_pose=tuple(d.get("start_pose", (0.0, 0.0, 0.0))),
-            metadata=dict(d.get("metadata", {})),
-        )
-
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-
-    @staticmethod
-    def load(path: str | Path) -> "Scene":
-        return Scene.from_dict(json.loads(Path(path).read_text()))

@@ -33,7 +33,8 @@ from .state import BodyState, Status, StepOutcome, TERMINAL_STATUSES, WorldState
 
 
 class SimulationError(RuntimeError):
-    """Internal inconsistency (non-finite pose, stepping a finished episode)."""
+    """Unusable input or state (a non-finite command or pose, stepping a
+    finished episode)."""
 
 
 def _wrap_angle(a: float) -> float:
@@ -236,9 +237,12 @@ class Simulator:
         return StepOutcome(self.status, self.distance_to_target(), self.violation)
 
     def step(self, a: ActionCommand) -> StepOutcome:
-        """Apply one command tick. Raises if the episode already ended."""
+        """Apply one command tick. Raises, leaving the state as it was, if the
+        episode already ended or a command value is not finite."""
         if self.done:
             raise SimulationError(f"episode already terminal ({self.status.value})")
+        if not all(math.isfinite(v) for v in a.continuous()):
+            raise SimulationError(f"non-finite command: {a.continuous()}")
         cfg = self.config
         rates, slew = cfg.rates, cfg.slew
         dt = rates.substep_dt

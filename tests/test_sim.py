@@ -114,6 +114,21 @@ def test_non_finite_command_poisons_integration_loudly():
         sim.step(neutral_command(v_x=float("nan")))
 
 
+@pytest.mark.parametrize("channel,value", [
+    ("h_z", float("nan")), ("phi", float("inf")), ("theta_1", float("-inf")),
+])
+def test_non_finite_body_command_is_rejected_before_integrating(channel, value):
+    sim = Simulator(go_to_scene())
+    sim.step(neutral_command(v_x=0.3))
+    before = repr(sim.state)
+    for _ in range(3):
+        with pytest.raises(SimulationError, match="non-finite command"):
+            sim.step(replace(neutral_command(v_x=0.3), **{channel: value}))
+    assert repr(sim.state) == before
+    assert sim.status is Status.RUNNING and sim.violation is None
+    assert sim.step(neutral_command(v_x=0.3)).status is Status.RUNNING
+
+
 def _extra_entities(rng, around_start: bool) -> list[Entity]:
     """Blocking geometry of every kind near the robot's path: a round and a
     box obstacle, a letter box, a bar and tunnels of both cross-sections,
