@@ -340,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", required=True)
     p.set_defaults(func=cmd_import_real)
 
-    p = sub.add_parser("validate", help="check a store's checksums and schema")
+    p = sub.add_parser("validate", help="check a store's checksums, schema and files")
     p.add_argument("--store", required=True)
     p.set_defaults(func=cmd_validate)
     return parser

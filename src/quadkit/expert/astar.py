@@ -7,6 +7,19 @@ legal only when both adjacent cardinal cells are free (no corner cutting).
 ``search_space`` is the contract's only encoding; A* here and D* Lite in
 :mod:`.dstar_lite` both search it. The octile heuristic is consistent under
 this contract, so returned costs are optimal.
+
+Straight-segment rule: ``smooth_path`` of an A* path first tests line of sight
+between its end waypoints, which are the snapped start and goal cell centres
+whatever A* found in between; when it passes, the answer is that one segment.
+``straight_path`` gives the same answer without running A*, and declines
+(returns None) unless all three guards hold:
+
+1. the snapped cells are more than one cell apart (Chebyshev distance > 1);
+   closer ones smooth to the raw path with its step-count cost;
+2. every sample of the segment lies in a free cell of the grid;
+3. consecutive sample cells are legal moves, so a diagonal step has both of
+   its cardinal cells free; the samples are then a path A* could take, and A*
+   cannot raise ``NoPathError`` for a case the shortcut accepts.
 """
 
 from __future__ import annotations
@@ -44,12 +57,7 @@ class PlannedPath:
         return len(self.waypoints)
 
 
-def octile(a: Cell, b: Cell, resolution: float) -> float:
-    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
-    return resolution * (max(dx, dy) + (SQRT2 - 1.0) * min(dx, dy))
-
-
-def search_space(grid: OccupancyGrid) -> tuple[bytearray, int, tuple]:
+def search_space(grid: OccupancyGrid, steps: tuple | None = None) -> tuple[bytearray, int, tuple]:
     """The movement contract on flat indices: ``(free, width, moves)``.
 
     ``free`` has one byte per cell of the grid padded by one blocked cell per
@@ -57,13 +65,15 @@ def search_space(grid: OccupancyGrid) -> tuple[bytearray, int, tuple]:
     a bounds check. A move ``(offset, step cost, side_a, side_b)`` from ``i``
     is legal when ``i + offset``, ``i + side_a`` and ``i + side_b`` are free:
     a diagonal names the cardinals it must not cut, a cardinal its own target.
+    Step costs are ``steps = (cardinal, diagonal)``, by default in metres.
     """
     res = grid.resolution
+    cardinal, diagonal = steps or (res, res * SQRT2)
     width = grid.nx + 2
     free = bytearray(np.pad(~grid.occupied, 1).tobytes())
     moves = tuple(
-        (dy * width + dx, res * SQRT2, dx, dy * width) if dx and dy
-        else (dy * width + dx, res, dy * width + dx, dy * width + dx)
+        (dy * width + dx, diagonal, dx, dy * width) if dx and dy
+        else (dy * width + dx, cardinal, dy * width + dx, dy * width + dx)
         for dx, dy in NEIGHBOR_OFFSETS
     )
     return free, width, moves
@@ -82,9 +92,10 @@ def flat_path(grid: OccupancyGrid, flat: list[int]) -> PlannedPath:
                        cost=res * straight + res * SQRT2 * diag)
 
 
-def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
-               goal_xy: tuple[float, float], snap: bool = True) -> PlannedPath:
-    """Optimal path between two world points, snapping endpoints to free cells."""
+def _endpoints(grid: OccupancyGrid, start_xy: tuple[float, float],
+               goal_xy: tuple[float, float], snap: bool) -> tuple[Cell, Cell]:
+    """The start and goal cells of a plan, snapped to the nearest free cells
+    when ``snap``; raises NoPathError when either is not free."""
     start = grid.world_to_cell(*start_xy)
     goal = grid.world_to_cell(*goal_xy)
     if snap:
@@ -95,12 +106,18 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
             raise NoPathError(str(exc)) from exc
     if not grid.is_free(start) or not grid.is_free(goal):
         raise NoPathError(f"endpoint blocked: start={start} goal={goal}")
+    return start, goal
 
+
+def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
+               goal_xy: tuple[float, float], snap: bool = True) -> PlannedPath:
+    """Optimal path between two world points, snapping endpoints to free cells."""
+    start, goal = _endpoints(grid, start_xy, goal_xy, snap)
     res = grid.resolution
     free, width, moves = search_space(grid)
     src = (start[1] + 1) * width + start[0] + 1
     dst = (goal[1] + 1) * width + goal[0] + 1
-    # Octile heuristic of every padded cell, with octile()'s arithmetic.
+    # Octile heuristic of every padded cell.
     dist_x = np.abs(np.arange(-1, width - 1) - goal[0])
     dist_y = np.abs(np.arange(-1, grid.ny + 1) - goal[1])[:, None]
     h = (res * (np.maximum(dist_x, dist_y)
@@ -136,19 +153,53 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
     raise NoPathError(f"goal unreachable: start={start} goal={goal}")
 
 
+def _free_samples(grid: OccupancyGrid, a: tuple[float, float],
+                  b: tuple[float, float]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cells ``(ix, iy)`` of the segment a-b sampled at half the grid
+    resolution, or None when a sample leaves the grid or lands on a blocked
+    cell. Each sample is ``world_to_cell(a + (i / n) * (b - a))``, elementwise."""
+    length = math.hypot(b[0] - a[0], b[1] - a[1])
+    n = max(1, int(math.ceil(length / (grid.resolution / 2.0))))
+    t = np.arange(n + 1) / n
+    ix = np.floor((a[0] + t * (b[0] - a[0]) - grid.origin[0]) / grid.resolution)
+    iy = np.floor((a[1] + t * (b[1] - a[1]) - grid.origin[1]) / grid.resolution)
+    if not ((ix >= 0) & (ix < grid.nx) & (iy >= 0) & (iy < grid.ny)).all():
+        return None
+    ix, iy = ix.astype(np.intp), iy.astype(np.intp)
+    return None if grid.occupied[iy, ix].any() else (ix, iy)
+
+
 def line_of_sight(grid: OccupancyGrid, a: tuple[float, float],
                   b: tuple[float, float]) -> bool:
     """True if the straight segment a-b stays in free cells (sampled at half
     the grid resolution)."""
-    length = math.hypot(b[0] - a[0], b[1] - a[1])
-    n = max(1, int(math.ceil(length / (grid.resolution / 2.0))))
-    for i in range(n + 1):
-        t = i / n
-        x = a[0] + t * (b[0] - a[0])
-        y = a[1] + t * (b[1] - a[1])
-        if not grid.is_free(grid.world_to_cell(x, y)):
-            return False
-    return True
+    return _free_samples(grid, a, b) is not None
+
+
+def straight_path(grid: OccupancyGrid, start_xy: tuple[float, float],
+                  goal_xy: tuple[float, float]) -> PlannedPath | None:
+    """``smooth_path(grid, plan_astar(grid, start_xy, goal_xy))`` when that is
+    one straight segment and the module's three guards show it; else None.
+    None also when an endpoint cannot be snapped: every unplannable scene
+    is then reported by ``plan_astar`` itself."""
+    try:
+        start, goal = _endpoints(grid, start_xy, goal_xy, snap=True)
+    except NoPathError:
+        return None
+    if max(abs(goal[0] - start[0]), abs(goal[1] - start[1])) <= 1:
+        return None
+    a, b = grid.cell_to_world(start), grid.cell_to_world(goal)
+    samples = _free_samples(grid, a, b)
+    if samples is None:
+        return None
+    ix, iy = samples
+    dx, dy = np.diff(ix), np.diff(iy)
+    diag = (dx != 0) & (dy != 0)
+    x, y = ix[:-1][diag], iy[:-1][diag]
+    if grid.occupied[y, x + dx[diag]].any() or grid.occupied[y + dy[diag], x].any():
+        return None
+    return PlannedPath(waypoints=(a, b), cells=(start, goal),
+                       cost=math.hypot(b[0] - a[0], b[1] - a[1]))
 
 
 def smooth_path(grid: OccupancyGrid, path: PlannedPath) -> PlannedPath:

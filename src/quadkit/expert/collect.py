@@ -20,7 +20,7 @@ from ..taxonomy import Skill, TaskSpec
 from ..world.sim import Simulator
 from ..world.camera import render_observation
 from ..world.state import Status
-from .astar import NoPathError, plan_astar, smooth_path
+from .astar import NoPathError, plan_astar, smooth_path, straight_path
 from .grid import grid_from_scene
 from .scenes import sample_scene
 from .tracker import PathTracker
@@ -35,7 +35,12 @@ def plan_for_task(scene, run: RunConfig):
         resolution=run.expert.grid_resolution,
         inflation=run.sim.footprint_radius + run.expert.inflation_margin,
     )
-    return smooth_path(grid, plan_astar(grid, scene.start_pose[:2], scene.goal_xy))
+    start, goal = scene.start_pose[:2], scene.goal_xy
+    # A* runs only when the smoothed answer may not be one straight segment.
+    path = straight_path(grid, start, goal)
+    if path is None:
+        path = smooth_path(grid, plan_astar(grid, start, goal))
+    return path
 
 
 def expert_tracker(scene, run: RunConfig) -> PathTracker:

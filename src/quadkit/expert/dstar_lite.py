@@ -7,9 +7,14 @@ one of its bytes. After any sequence of ``update_cell`` / ``move_start``
 calls, ``plan()`` returns a path whose cost equals a fresh A* run on the
 same grid.
 
-Costs are canonicalized from the extracted path (cardinal and diagonal step
-counts), which makes that equality exact in floating point: an optimal cost
-``n_c + sqrt(2) * n_d`` determines the step counts uniquely.
+Keys are exact integers in cell units: a cardinal step costs ``_UNIT`` and a
+diagonal ``_DIAG``, ``_UNIT * sqrt(2)`` rounded down. Float keys in metres
+round sums of equal cost apart and break ties that the second key should
+decide, so a repair could stop early. Integer sums ``n_c * _UNIT + n_d *
+_DIAG`` are equal exactly when their step counts are, and they order like
+the true costs ``n_c + sqrt(2) * n_d`` while the counts stay below about
+2**15 steps. The returned metric cost is rebuilt from the extracted path's
+step counts, the same way as A*'s, so the two agree in floating point.
 """
 
 from __future__ import annotations
@@ -18,10 +23,18 @@ import heapq
 import itertools
 import math
 
-from .astar import NoPathError, PlannedPath, flat_path, octile, search_space
+from .astar import NoPathError, PlannedPath, flat_path, search_space
 from .grid import Cell, OccupancyGrid
 
 _INF = math.inf
+_UNIT = 1 << 32
+_DIAG = math.isqrt(2 * _UNIT * _UNIT)
+
+
+def _octile(a: Cell, b: Cell) -> int:
+    """Octile distance between two cells in the planner's integer units."""
+    dx, dy = abs(a[0] - b[0]), abs(a[1] - b[1])
+    return _UNIT * abs(dx - dy) + _DIAG * min(dx, dy)
 
 
 class DStarLitePlanner:
@@ -31,20 +44,20 @@ class DStarLitePlanner:
                  goal_xy: tuple[float, float]):
         # The grid gives the geometry; occupancy lives in self._free.
         self._grid = grid
-        self._free, self._width, self._moves = search_space(grid)
+        self._free, self._width, self._moves = search_space(grid, steps=(_UNIT, _DIAG))
         self.start = grid.world_to_cell(*start_xy)
         self.goal = grid.world_to_cell(*goal_xy)
         self._last = self.start
-        self._km = 0.0
+        self._km = 0
         self._g = [_INF] * len(self._free)
         self._rhs = [_INF] * len(self._free)
-        self._heap: list[tuple[float, float, int, int]] = []
+        self._heap: list[tuple[int, int, int, int]] = []
         self._entries: dict[int, int] = {}
         self._counter = itertools.count()
         # A goal outside the grid is never entered, so it seeds nothing.
         self._goal = self._index(self.goal)
         if self._goal is not None:
-            self._rhs[self._goal] = 0.0
+            self._rhs[self._goal] = 0
             self._push(self._goal)
 
     def _index(self, cell: Cell) -> int | None:
@@ -65,7 +78,7 @@ class DStarLitePlanner:
     def _key(self, s: int) -> tuple[float, float]:
         m = min(self._g[s], self._rhs[s])
         cell = (s % self._width - 1, s // self._width - 1)
-        return (m + octile(self.start, cell, self._grid.resolution) + self._km, m)
+        return (m + _octile(self.start, cell) + self._km, m)
 
     def _push(self, s: int) -> None:
         seq = next(self._counter)
@@ -149,7 +162,7 @@ class DStarLitePlanner:
         new_start = self._grid.world_to_cell(*new_start_xy)
         if new_start == self.start:
             return
-        self._km += octile(self._last, new_start, self._grid.resolution)
+        self._km += _octile(self._last, new_start)
         self._last = new_start
         self.start = new_start
 

@@ -377,9 +377,11 @@ class EpisodeStore:
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check checksums and record schema; returns problems as field paths."""
+        """Check checksums, record schema and the files on disk; returns
+        problems as field paths (store-relative paths for files)."""
         problems: list[str] = []
         total = 0
+        images: dict[str, bool] = {}  # referenced sha -> its file exists
         for info in self.shards:
             path = self.root / "shards" / f"{info.name}.rec"
             if not path.exists():
@@ -391,7 +393,8 @@ class EpisodeStore:
             count = 0
             try:
                 for i, rec in enumerate(self._iter_records(info.name)):
-                    problems.extend(self._check_record(rec, f"shards[{info.name}].record[{i}]"))
+                    problems.extend(self._check_record(rec, f"shards[{info.name}].record[{i}]",
+                                                       images))
                     count += 1
             except (StoreError, ValueError) as exc:
                 # ValueError covers JSON syntax errors and undecodable bytes.
@@ -405,9 +408,25 @@ class EpisodeStore:
             problems.append(
                 f"episode_count: manifest says {self.episode_count}, found {total}"
             )
+        return problems + self._check_files(images)
+
+    def _check_files(self, images: dict[str, bool]) -> list[str]:
+        """Re-hash each referenced image once, and list every file under
+        ``shards/`` and ``obs/`` (temporary ones too) that neither the
+        manifest nor a record refers to."""
+        problems = []
+        for sha in sorted(sha for sha, exists in images.items() if exists):
+            if hashlib.sha256(self._image_path(sha).read_bytes()).hexdigest() != sha:
+                problems.append(f"obs/{sha[:2]}/{sha}.ppm: content does not hash to its name")
+        known = {self.root / "shards" / f"{info.name}.rec" for info in self.shards}
+        known.update(self._image_path(sha) for sha in images)
+        for sub in ("shards", "obs"):
+            for path in sorted((self.root / sub).rglob("*")):
+                if path.is_file() and path not in known:
+                    problems.append(f"{path.relative_to(self.root).as_posix()}: unreferenced file")
         return problems
 
-    def _check_record(self, rec: dict, where: str) -> list[str]:
+    def _check_record(self, rec: dict, where: str, images: dict[str, bool]) -> list[str]:
         problems = []
         for key in ("episode_id", "task", "instruction", "template_id",
                     "source", "seed", "outcome", "steps"):
@@ -430,7 +449,9 @@ class EpisodeStore:
             if len(s.get("command", {}).get("values", ())) != NUM_CONTINUOUS:
                 problems.append(f"{sw}.command.values: expected 11 entries")
             sha = s.get("obs", "")
-            if not self._image_path(sha).exists():
+            if sha not in images:
+                images[sha] = self._image_path(sha).is_file()
+            if not images[sha]:
                 problems.append(f"{sw}.obs: missing image {sha[:12]}")
         return problems
 

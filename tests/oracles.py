@@ -1,13 +1,14 @@
 """Independent reference implementations used as test oracles.
 
 These deliberately re-derive results from first principles (textbook
-Dijkstra over the same movement rule, a disk stamped around every occupied
-cell, pinhole projection area, a full sort for nearest neighbours) instead of
-calling the code under test, so agreement is evidence of correctness rather
-than tautology. The world-layer references (``step_reference``,
-``render_reference``) are the straightforward per-substep, per-entity forms
-of the simulator and renderer: a fresh ``BodyState`` and a walk over every
-entity on each substep, one projection per entity on each frame.
+Dijkstra over the same movement rule, line of sight one sample at a time, a
+disk stamped around every occupied cell, pinhole projection area, a full sort
+for nearest neighbours) instead of calling the code under test, so agreement
+is evidence of correctness rather than tautology. The world-layer references
+(``step_reference``, ``render_reference``) are the straightforward
+per-substep, per-entity forms of the simulator and renderer: a fresh
+``BodyState`` and a walk over every entity on each substep, one projection
+per entity on each frame.
 """
 
 from __future__ import annotations
@@ -102,6 +103,25 @@ def box_cells(grid: OccupancyGrid, center, half_extents, yaw: float) -> np.ndarr
             out[iy, ix] = (abs(u) <= half_extents[0] + res / 2.0
                            and abs(v) <= half_extents[1] + res / 2.0)
     return out
+
+
+def segment_cells(grid: OccupancyGrid, a, b) -> list[tuple[int, int]]:
+    """The cell of each sample of the segment a-b, one sample at a time: every
+    half cell, at ``t = i / n``."""
+    length = math.hypot(b[0] - a[0], b[1] - a[1])
+    n = max(1, int(math.ceil(length / (grid.resolution / 2.0))))
+    cells = []
+    for i in range(n + 1):
+        t = i / n
+        x = a[0] + t * (b[0] - a[0])
+        y = a[1] + t * (b[1] - a[1])
+        cells.append(grid.world_to_cell(x, y))
+    return cells
+
+
+def line_of_sight_reference(grid: OccupancyGrid, a, b) -> bool:
+    """Line of sight with each sample's cell tested on its own."""
+    return all(grid.is_free(cell) for cell in segment_cells(grid, a, b))
 
 
 def random_grid(rng: np.random.Generator, nx: int = 16, ny: int = 16,

@@ -1,5 +1,6 @@
 """Grid planners: A* against a Dijkstra oracle, D* Lite against fresh A*,
-occupancy-grid geometry, and path smoothing."""
+occupancy-grid geometry, path smoothing, and the straight-segment shortcut
+against smoothing A*'s path."""
 
 import math
 
@@ -14,11 +15,12 @@ from quadkit.expert import (
     plan_astar,
     smooth_path,
 )
-from quadkit.expert.astar import SQRT2
+from quadkit.expert.astar import SQRT2, straight_path
 
 from quadkit.expert.grid import _rasterize_box
 
-from oracles import box_cells, dijkstra_cost, dilate_disk, random_grid
+from oracles import (box_cells, dijkstra_cost, dilate_disk, line_of_sight_reference, random_grid,
+                     segment_cells)
 
 
 def empty_grid(n: int = 12, res: float = 0.05) -> OccupancyGrid:
@@ -236,3 +238,150 @@ def test_line_of_sight_detects_blockers():
     b = grid.cell_to_world((8, 4))
     assert not line_of_sight(grid, a, b)
     assert line_of_sight(grid, grid.cell_to_world((0, 0)), grid.cell_to_world((8, 0)))
+
+
+def test_line_of_sight_matches_the_per_sample_reference():
+    """Random segments inside and across the border of a grid with an offset
+    origin, plus segments whose samples land exactly on cell edges."""
+    rng = np.random.default_rng(808)
+    res = 0.05
+    grid = OccupancyGrid((-0.4, 0.3), res, rng.random((13, 17)) < 0.15)
+    x0, y0 = grid.origin
+    segments = []
+    for _ in range(600):
+        segments.append(tuple(
+            (float(rng.uniform(x0 - 0.2, x0 + 17 * res + 0.2)),
+             float(rng.uniform(y0 - 0.2, y0 + 13 * res + 0.2)))
+            for _ in range(2)))
+    for _ in range(600):
+        # Endpoints on cell corners and edge midpoints: axis-parallel runs
+        # along an edge and diagonals through corners sample on the edges.
+        segments.append(tuple(
+            (x0 + int(rng.integers(-2, 36)) * res / 2, y0 + int(rng.integers(-2, 28)) * res / 2)
+            for _ in range(2)))
+    seen = {True: 0, False: 0}
+    for a, b in segments:
+        want = line_of_sight_reference(grid, a, b)
+        assert line_of_sight(grid, a, b) == want, (a, b)
+        seen[want] += 1
+    assert min(seen.values()) >= 100
+
+
+def test_line_of_sight_tests_exactly_the_reference_sample_cells():
+    """On a grid blocked everywhere but the reference's sample cells the
+    segment is visible, and blocking any one of those cells hides it; endpoints
+    on half-cell multiples put many samples exactly on cell edges."""
+    rng = np.random.default_rng(909)
+    res, nx, ny = 0.05, 17, 13
+    origin = (-0.4, 0.3)
+    checked = 0
+    for _ in range(1500):
+        a, b = ((origin[0] + int(rng.integers(0, 2 * nx + 1)) * res / 2,
+                 origin[1] + int(rng.integers(0, 2 * ny + 1)) * res / 2) for _ in range(2))
+        cells = segment_cells(OccupancyGrid(origin, res, np.zeros((ny, nx), dtype=bool)), a, b)
+        if not all(0 <= ix < nx and 0 <= iy < ny for ix, iy in cells):
+            continue
+        only = np.ones((ny, nx), dtype=bool)
+        for ix, iy in cells:
+            only[iy, ix] = False
+        assert line_of_sight(OccupancyGrid(origin, res, only), a, b), (a, b)
+        ix, iy = cells[int(rng.integers(0, len(cells)))]
+        one = np.zeros((ny, nx), dtype=bool)
+        one[iy, ix] = True
+        assert not line_of_sight(OccupancyGrid(origin, res, one), a, b), (a, b, (ix, iy))
+        checked += 1
+    assert checked >= 1000
+
+
+def _occupied(n: int, *cells) -> np.ndarray:
+    occupied = np.zeros((n, n), dtype=bool)
+    for ix, iy in cells:
+        occupied[iy, ix] = True
+    return occupied
+
+
+def _reference(grid, a, b):
+    try:
+        return smooth_path(grid, plan_astar(grid, a, b))
+    except NoPathError as exc:
+        return f"no path: {exc}"
+
+
+def _shortcut(grid, a, b):
+    """``plan_for_task``'s planner calls, and whether A* was skipped."""
+    try:
+        path = straight_path(grid, a, b)
+        if path is not None:
+            return path, True
+        return smooth_path(grid, plan_astar(grid, a, b)), False
+    except NoPathError as exc:
+        return f"no path: {exc}", False
+
+
+def _same(got, want) -> bool:
+    if isinstance(got, str) or isinstance(want, str):
+        return got == want
+    return (got.waypoints == want.waypoints and got.cells == want.cells
+            and got.cost.hex() == want.cost.hex())
+
+
+# name: (blocked cells of a 10x10 grid, start cell, goal cell, A* skipped)
+SHORTCUT_CASES = {
+    "identical": ((), (3, 3), (3, 3), False),
+    "adjacent": ((), (3, 3), (4, 3), False),
+    "diagonal": ((), (3, 3), (4, 4), False),
+    "diagonal, one cardinal blocked": (((4, 3),), (3, 3), (4, 4), False),
+    "diagonal, both cardinals blocked": (((4, 3), (3, 4)), (3, 3), (4, 4), False),
+    "open row": ((), (1, 2), (8, 2), True),
+    "open staircase": ((), (0, 0), (9, 4), True),
+    "long diagonal, a cut corner on the way": (((3, 2),), (1, 1), (6, 6), False),
+    # A wall of diagonally touching cells along the anti-diagonal: the segment
+    # slips between (4, 5) and (5, 4), but no legal move crosses the wall.
+    "slips between touching corners": (tuple((k, 9 - k) for k in range(10)),
+                                       (2, 2), (7, 7), False),
+    "endpoints snapped out of obstacles": (((0, 1), (1, 0), (1, 1), (8, 8), (9, 8)),
+                                           (1, 1), (8, 8), True),
+    "blocked on the way": (((5, 5),), (2, 2), (8, 8), False),
+    "goal walled in": (((6, 6), (7, 6), (8, 6), (6, 7), (8, 7), (6, 8), (7, 8), (8, 8)),
+                       (1, 1), (7, 7), False),
+}
+
+
+@pytest.mark.parametrize("name", SHORTCUT_CASES)
+def test_straight_path_matches_smoothed_astar_on_built_cases(name):
+    blocked, start, goal, skipped = SHORTCUT_CASES[name]
+    grid = OccupancyGrid((0.0, 0.0), 0.05, _occupied(10, *blocked))
+    a, b = grid.cell_to_world(start), grid.cell_to_world(goal)
+    want = _reference(grid, a, b)
+    got, did_skip = _shortcut(grid, a, b)
+    assert _same(got, want), (got, want)
+    assert did_skip == skipped
+
+
+def test_straight_path_leaves_a_snap_failure_to_astar():
+    grid = OccupancyGrid((0.0, 0.0), 0.05, np.ones((4, 4), dtype=bool))
+    a, b = grid.cell_to_world((0, 0)), grid.cell_to_world((3, 3))
+    assert straight_path(grid, a, b) is None
+    want = _reference(grid, a, b)
+    assert want.startswith("no path: no free cell within")
+    assert _shortcut(grid, a, b) == (want, False)
+
+
+def test_straight_path_matches_smoothed_astar_on_random_grids():
+    rng = np.random.default_rng(3131)
+    skipped = declined = 0
+    for k in range(400):
+        nx, ny = int(rng.integers(3, 20)), int(rng.integers(3, 20))
+        grid = random_grid(rng, nx, ny, fill=float(rng.uniform(0.0, 0.4)))
+        if k % 2:  # cell centres
+            ends = [grid.cell_to_world((int(rng.integers(0, nx)), int(rng.integers(0, ny))))
+                    for _ in range(2)]
+        else:  # any point near the grid, snapped by both
+            ends = [(float(rng.uniform(-0.1, nx * 0.05 + 0.1)),
+                     float(rng.uniform(-0.1, ny * 0.05 + 0.1))) for _ in range(2)]
+        want = _reference(grid, *ends)
+        got, did_skip = _shortcut(grid, *ends)
+        assert _same(got, want), (k, got, want)
+        skipped += did_skip
+        declined += not did_skip
+    assert skipped >= 50 and declined >= 50

@@ -131,6 +131,29 @@ def test_validate_catches_missing_observation(tmp_path):
     assert any("missing image" in p for p in problems)
 
 
+def test_validate_rehashes_observations(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    store.write_shard("batch-0", [make_episode(0)])
+    victim = sorted((tmp_path / "s" / "obs").rglob("*.ppm"))[0]
+    data = bytearray(victim.read_bytes())
+    data[-1] ^= 0x01  # a pixel byte: the file still parses
+    victim.write_bytes(bytes(data))
+    assert store.load_image(victim.stem).shape == (6, 8, 3)
+    problems = EpisodeStore.open(tmp_path / "s").validate()
+    rel = victim.relative_to(tmp_path / "s").as_posix()
+    assert problems == [f"{rel}: content does not hash to its name"]
+
+
+@pytest.mark.parametrize("stray", ["shards/orphan.rec", "obs/ab/leftover.123.tmp"])
+def test_validate_lists_unreferenced_files(tmp_path, stray):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    store.write_shard("batch-0", [make_episode(0)])
+    path = tmp_path / "s" / stray
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"stray")
+    assert EpisodeStore.open(tmp_path / "s").validate() == [f"{stray}: unreferenced file"]
+
+
 def test_validate_catches_count_drift(tmp_path):
     store = EpisodeStore.create(tmp_path / "s", SPACE)
     store.write_shard("batch-0", [make_episode(0)])
