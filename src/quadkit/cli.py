@@ -17,6 +17,7 @@ import os
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
 
@@ -30,6 +31,7 @@ from .language import LanguageError
 from .roster import build_task_roster
 from .store import (
     EpisodeStore,
+    ShardInfo,
     StoreError,
     compute_stats,
     import_real,
@@ -93,7 +95,7 @@ def _collect_shard(root: str, shard: str, jobs: list, run: RunConfig) -> dict:
     with store.shard_writer(shard) as writer:
         for task, seed, source in jobs:
             writer.add(generate_episode(task, seed, run, space, source=source))
-    return writer.info.to_dict()
+    return asdict(writer.info)
 
 
 def cmd_collect(args) -> int:
@@ -132,9 +134,7 @@ def cmd_collect(args) -> int:
     else:
         infos = [_collect_shard(str(root), shard, jobs, run) for shard, jobs in shards]
 
-    from .store.episodes import ShardInfo
-
-    store.commit_shards(ShardInfo(d["name"], d["episodes"], d["sha256"]) for d in infos)
+    store.commit_shards(ShardInfo(**d) for d in infos)
     print(stats_table(compute_stats(EpisodeStore.open(root))), end="")
     return 0
 

@@ -72,22 +72,20 @@ class EvalSuite:
         return out
 
 
-def build_suite(name: str, budgets: dict, seed: int,
-                split: Split = Split.SEEN_SIM) -> EvalSuite:
-    """Deterministic suite from per-task budgets; seeds drive scene draws."""
+def build_suite(name: str, budgets: dict[str, int], seed: int) -> EvalSuite:
+    """Deterministic seen-split suite from per-skill budgets; seeds drive scene draws."""
     rng = np.random.default_rng(seed)
-    normalized = {str(getattr(k, "value", k)): v for k, v in budgets.items()}
     entries: list[EvalEntry] = []
     used: set[int] = set()
-    for skill_name in sorted(normalized):
-        roster = build_task_roster(Skill(skill_name), normalized[skill_name], rng, split)
+    for skill_name in sorted(budgets):
+        roster = build_task_roster(Skill(skill_name), budgets[skill_name], rng)
         for task in roster:
             entry_seed = int(rng.integers(0, 2**31 - 1))
             while entry_seed in used:  # scene seeds are unique within a suite
                 entry_seed = int(rng.integers(0, 2**31 - 1))
             used.add(entry_seed)
             entries.append(EvalEntry(task, entry_seed))
-    return EvalSuite(name=name, split=split, entries=tuple(entries))
+    return EvalSuite(name=name, split=Split.SEEN_SIM, entries=tuple(entries))
 
 
 def make_unseen_suites(base: EvalSuite) -> dict[str, EvalSuite]:
@@ -147,17 +145,18 @@ class EvalReport:
                 total.buckets[b] += t.buckets[b]
         return total
 
-    def success_rate(self, skill: Skill | str | None = None) -> float:
+    def success_rate(self, skill: str | None = None) -> float:
         if skill is None:
             return self.overall.success_rate
-        key = getattr(skill, "value", skill)
-        return self.per_task[key].success_rate
+        return self.per_task[skill].success_rate
+
+    def _rows(self) -> list[tuple[str, TaskResult]]:
+        return sorted(self.per_task.items()) + [("overall", self.overall)]
 
     def to_table(self) -> str:
         header = f"{'task':<12} {'n':>5} " + " ".join(f"{b:>12}" for b in BUCKETS) + f" {'SR':>7}"
         lines = [f"suite: {self.suite} (split: {self.split})", header]
-        rows = sorted(self.per_task.items()) + [("overall", self.overall)]
-        for name, t in rows:
+        for name, t in self._rows():
             cells = " ".join(f"{t.buckets[b]:>12}" for b in BUCKETS)
             lines.append(f"{name:<12} {t.budget:>5} {cells} {t.success_rate:>7.3f}")
         return "\n".join(lines) + "\n"
@@ -166,13 +165,9 @@ class EvalReport:
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["task", "budget", *BUCKETS, "success_rate"])
-        for name in sorted(self.per_task):
-            t = self.per_task[name]
+        for name, t in self._rows():
             writer.writerow([name, t.budget, *(t.buckets[b] for b in BUCKETS),
                              f"{t.success_rate:.6f}"])
-        t = self.overall
-        writer.writerow(["overall", t.budget, *(t.buckets[b] for b in BUCKETS),
-                         f"{t.success_rate:.6f}"])
         return buf.getvalue()
 
 

@@ -63,13 +63,12 @@ def _record_step(steps: list[Step], obs, cmd: ActionCommand, pose,
 def generate_episode(task: TaskSpec, seed: int,
                      run: RunConfig | None = None,
                      space: ActionSpaceSpec | None = None,
-                     source: str = "sim",
-                     template_id: str | None = None) -> Episode:
+                     source: str = "sim") -> Episode:
     """Roll one scripted episode; deterministic in (task, seed, config)."""
     run = run or RunConfig()
     space = space or default_action_space()
     scene = sample_scene(task, seed, run.scene)
-    instruction = render_instruction(task, template_id)
+    instruction = render_instruction(task)
     episode = Episode(
         episode_id=f"{task.skill.value}-{source}-{seed:08d}",
         task=task,

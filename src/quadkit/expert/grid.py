@@ -20,6 +20,8 @@ from ..world.scene import Scene
 
 Cell = tuple[int, int]
 
+NEAREST_FREE_RADIUS = 40  # cells searched around a blocked endpoint
+
 
 @dataclass(frozen=True)
 class OccupancyGrid:
@@ -95,12 +97,12 @@ class OccupancyGrid:
             dilated[:-dy] |= row[dy:]
         return OccupancyGrid(self.origin, self.resolution, dilated)
 
-    def nearest_free(self, cell: Cell, max_radius_cells: int = 40) -> Cell:
+    def nearest_free(self, cell: Cell) -> Cell:
         """Closest free cell to ``cell``, searching outward ring by ring."""
         if self.is_free(cell):
             return cell
         cx, cy = cell
-        for r in range(1, max_radius_cells + 1):
+        for r in range(1, NEAREST_FREE_RADIUS + 1):
             best = None
             for dx in range(-r, r + 1):
                 for dy in range(-r, r + 1):
@@ -113,7 +115,7 @@ class OccupancyGrid:
                             best = (d, cand)
             if best is not None:
                 return best[1]
-        raise ValueError(f"no free cell within {max_radius_cells} cells of {cell}")
+        raise ValueError(f"no free cell within {NEAREST_FREE_RADIUS} cells of {cell}")
 
 
 def _rasterize_box(mask: np.ndarray, grid: OccupancyGrid, center: tuple[float, float],

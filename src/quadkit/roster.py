@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import GAIT_WEIGHTS
-from .taxonomy import GaitName, Skill, Split, SpeedLevel, TaskSpec, seen_object_pool
+from .taxonomy import GaitName, Skill, SpeedLevel, TaskSpec, seen_object_pool
 
 
 def largest_remainder(weights: dict[str, float], total: int) -> dict[str, int]:
@@ -28,8 +28,7 @@ def largest_remainder(weights: dict[str, float], total: int) -> dict[str, int]:
     return counts
 
 
-def build_task_roster(skill: Skill, count: int, rng: np.random.Generator,
-                      split: Split = Split.SEEN_SIM) -> list[TaskSpec]:
+def build_task_roster(skill: Skill, count: int, rng: np.random.Generator) -> list[TaskSpec]:
     """``count`` task specs for one skill with balanced speeds and weighted gaits."""
     speed_counts = largest_remainder({s.value: 1.0 for s in SpeedLevel}, count)
     speeds = [SpeedLevel(name) for name, n in speed_counts.items() for _ in range(n)]
@@ -44,7 +43,6 @@ def build_task_roster(skill: Skill, count: int, rng: np.random.Generator,
             obj=pool[int(rng.integers(0, len(pool)))],
             speed=speeds[i],
             gait=gaits[i],
-            split=split,
         )
         for i in range(count)
     ]

@@ -1,4 +1,4 @@
-from .episodes import Episode, EpisodeStore, ShardInfo, Step, StoreError
+from .episodes import Episode, EpisodeStore, ShardInfo, Step, StoreError, episode_problems
 from .stats import StoreStats, compute_stats, stats_svg, stats_table
 from .mixing import MixMode, MixPolicy, mix_stream
 from .importer import ImportReport, import_real
@@ -9,6 +9,7 @@ __all__ = [
     "ShardInfo",
     "Step",
     "StoreError",
+    "episode_problems",
     "StoreStats",
     "compute_stats",
     "stats_svg",

@@ -27,13 +27,14 @@ import re
 import struct
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..actions import ActionCommand, ActionSpaceSpec, NUM_CONTINUOUS
+from ..actions import (ActionCommand, ActionSpaceSpec, ActionTokens, CodecError,
+                       NUM_CONTINUOUS, detokenize)
 from ..config import RateConfig
 from ..taxonomy import TaskSpec
 from ..world.camera import from_ppm, to_ppm
@@ -93,8 +94,22 @@ class ShardInfo:
     episodes: int
     sha256: str
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "episodes": self.episodes, "sha256": self.sha256}
+
+def episode_problems(ep: Episode, space: ActionSpaceSpec) -> list[str]:
+    """The store's rules for one decoded episode, as field paths: every
+    step's tokens decode under ``space``, and a successful episode carries
+    the terminate token exactly once, at its last step."""
+    problems = []
+    for j, step in enumerate(ep.steps):
+        try:
+            detokenize(ActionTokens(step.tokens), space)
+        except CodecError as exc:
+            problems.append(f"steps[{j}].tokens: {exc}")
+    stops = [j for j, step in enumerate(ep.steps) if step.tokens[-1] == space.token_offset + 1]
+    if ep.outcome == "success" and stops != [len(ep.steps) - 1]:
+        problems.append("outcome: a success carries the terminate token exactly once, "
+                        f"at its last step; found it at steps {stops}")
+    return problems
 
 
 def _canonical_json(obj) -> bytes:
@@ -145,7 +160,7 @@ class ShardWriter:
             raise StoreError(f"shard {name!r} already committed")
         self.store = store
         self.name = name
-        self.path = store.root / "shards" / f"{name}.rec"
+        self.path = store._shard_path(name)
         if self.path.exists():
             raise StoreError(f"shard file {self.path} already exists")
         self._fh = open(self.path, "wb")
@@ -228,14 +243,8 @@ class EpisodeStore:
         return ActionSpaceSpec.from_dict(self._manifest["action_space"])
 
     @property
-    def rates(self) -> RateConfig:
-        r = self._manifest["rates"]
-        return RateConfig(f_high=r["f_high"], f_low=r["f_low"])
-
-    @property
     def shards(self) -> list[ShardInfo]:
-        return [ShardInfo(s["name"], s["episodes"], s["sha256"])
-                for s in self._manifest["shards"]]
+        return [ShardInfo(**s) for s in self._manifest["shards"]]
 
     @property
     def episode_count(self) -> int:
@@ -286,7 +295,7 @@ class EpisodeStore:
             for info in infos:
                 if info.name in names:
                     raise StoreError(f"shard {info.name!r} already committed")
-                current["shards"].append(info.to_dict())
+                current["shards"].append(asdict(info))
                 current["episode_count"] += info.episodes
             current["shards"].sort(key=lambda s: s["name"])
             self._manifest = current
@@ -294,8 +303,11 @@ class EpisodeStore:
 
     # -- reading -----------------------------------------------------------------
 
+    def _shard_path(self, name: str) -> Path:
+        return self.root / "shards" / f"{name}.rec"
+
     def _shard_file(self, name: str) -> Path:
-        path = self.root / "shards" / f"{name}.rec"
+        path = self._shard_path(name)
         if not path.exists():
             raise StoreError(f"missing shard file {path}")
         return path
@@ -377,13 +389,20 @@ class EpisodeStore:
     # -- validation ----------------------------------------------------------------
 
     def validate(self) -> list[str]:
-        """Check checksums, record schema and the files on disk; returns
+        """Check checksums, decode every record as the readers do and apply
+        :func:`episode_problems` to it, then check the files on disk; returns
         problems as field paths (store-relative paths for files)."""
         problems: list[str] = []
         total = 0
-        images: dict[str, bool] = {}  # referenced sha -> its file exists
+        space = self.action_space
+        images: dict[str, Path] = {}  # referenced sha -> its file
+
+        def note(sha: str) -> np.ndarray:
+            images[sha] = self._image_path(sha)
+            return _EMPTY_IMAGE
+
         for info in self.shards:
-            path = self.root / "shards" / f"{info.name}.rec"
+            path = self._shard_path(info.name)
             if not path.exists():
                 problems.append(f"shards[{info.name}]: file missing")
                 continue
@@ -393,9 +412,15 @@ class EpisodeStore:
             count = 0
             try:
                 for i, rec in enumerate(self._iter_records(info.name)):
-                    problems.extend(self._check_record(rec, f"shards[{info.name}].record[{i}]",
-                                                       images))
                     count += 1
+                    where = f"shards[{info.name}].record[{i}]"
+                    try:
+                        ep = self._episode_from_record(rec, note)
+                    except (StoreError, ValueError, LookupError, TypeError, AttributeError,
+                            OverflowError) as exc:  # what a malformed JSON value raises
+                        problems.append(f"{where}: {type(exc).__name__}: {exc}")
+                        continue
+                    problems.extend(f"{where}.{p}" for p in episode_problems(ep, space))
             except (StoreError, ValueError) as exc:
                 # ValueError covers JSON syntax errors and undecodable bytes.
                 problems.append(f"shards[{info.name}]: {exc}")
@@ -410,49 +435,23 @@ class EpisodeStore:
             )
         return problems + self._check_files(images)
 
-    def _check_files(self, images: dict[str, bool]) -> list[str]:
-        """Re-hash each referenced image once, and list every file under
-        ``shards/`` and ``obs/`` (temporary ones too) that neither the
-        manifest nor a record refers to."""
+    def _check_files(self, images: dict[str, Path]) -> list[str]:
+        """Check each referenced image once (it exists and hashes to its
+        name), and list every file under ``shards/`` and ``obs/`` (temporary
+        ones too) that neither the manifest nor a record refers to."""
         problems = []
-        for sha in sorted(sha for sha, exists in images.items() if exists):
-            if hashlib.sha256(self._image_path(sha).read_bytes()).hexdigest() != sha:
-                problems.append(f"obs/{sha[:2]}/{sha}.ppm: content does not hash to its name")
-        known = {self.root / "shards" / f"{info.name}.rec" for info in self.shards}
-        known.update(self._image_path(sha) for sha in images)
+        for sha, path in sorted(images.items()):
+            rel = f"obs/{sha[:2]}/{sha}.ppm"
+            if not path.is_file():
+                problems.append(f"{rel}: missing image")
+            elif hashlib.sha256(path.read_bytes()).hexdigest() != sha:
+                problems.append(f"{rel}: content does not hash to its name")
+        known = {self._shard_path(info.name) for info in self.shards}
+        known.update(images.values())
         for sub in ("shards", "obs"):
             for path in sorted((self.root / sub).rglob("*")):
                 if path.is_file() and path not in known:
                     problems.append(f"{path.relative_to(self.root).as_posix()}: unreferenced file")
-        return problems
-
-    def _check_record(self, rec: dict, where: str, images: dict[str, bool]) -> list[str]:
-        problems = []
-        for key in ("episode_id", "task", "instruction", "template_id",
-                    "source", "seed", "outcome", "steps"):
-            if key not in rec:
-                problems.append(f"{where}.{key}: missing")
-        if problems:
-            return problems
-        if rec["outcome"] not in OUTCOMES:
-            problems.append(f"{where}.outcome: unknown value {rec['outcome']!r}")
-        if rec["source"] not in SOURCES:
-            problems.append(f"{where}.source: unknown value {rec['source']!r}")
-        try:
-            TaskSpec.from_dict(rec["task"])
-        except (KeyError, ValueError) as exc:
-            problems.append(f"{where}.task: {exc}")
-        for j, s in enumerate(rec["steps"]):
-            sw = f"{where}.steps[{j}]"
-            if len(s.get("tokens", ())) != NUM_CONTINUOUS + 1:
-                problems.append(f"{sw}.tokens: expected 12 entries")
-            if len(s.get("command", {}).get("values", ())) != NUM_CONTINUOUS:
-                problems.append(f"{sw}.command.values: expected 11 entries")
-            sha = s.get("obs", "")
-            if sha not in images:
-                images[sha] = self._image_path(sha).is_file()
-            if not images[sha]:
-                problems.append(f"{sw}.obs: missing image {sha[:12]}")
         return problems
 
 

@@ -8,8 +8,9 @@ Expected source layout, one directory per episode:
         frames/0000.ppm ...  one P6 raster per tick, numbered from zero
 
 An episode with any malformed part (unparseable instruction, bad CSV row,
-frame count mismatch, unreadable frame) is skipped whole and the reason is
-logged and reported; a bad episode never aborts the import.
+frame count mismatch, unreadable frame, or a terminate column that is not 1
+on exactly the last row, as every success needs) is skipped whole and the
+reason is logged and reported; a bad episode never aborts the import.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..actions import ActionCommand, ActionSpaceSpec, NUM_CONTINUOUS, clamp_to_space, tokenize
+from ..actions import (ActionCommand, ActionSpaceSpec, NUM_CONTINUOUS, clamp_to_space,
+                       default_action_space, tokenize)
 from ..language import LanguageError, parse_instruction
 from ..taxonomy import Split
 from ..world.camera import from_ppm
-from .episodes import Episode, EpisodeStore, Step
+from .episodes import Episode, EpisodeStore, Step, episode_problems
 
 log = logging.getLogger(__name__)
 
@@ -88,7 +90,7 @@ def _read_episode(folder: Path, index: int, space: ActionSpaceSpec) -> Episode:
             command=cmd,
             pose=(0.0, 0.0, 0.0),
         ))
-    return Episode(
+    episode = Episode(
         episode_id=f"real-{folder.name}",
         task=instruction.spec.with_split(Split.SEEN_REAL),
         instruction=instruction.text,
@@ -98,10 +100,13 @@ def _read_episode(folder: Path, index: int, space: ActionSpaceSpec) -> Episode:
         outcome="success",
         steps=steps,
     )
+    problems = episode_problems(episode, space)
+    if problems:
+        raise _SkipEpisode(problems[0])
+    return episode
 
 
 def import_real(src: str | Path, store_root: str | Path,
-                action_space: ActionSpaceSpec | None = None,
                 shard_name: str = "real-000") -> ImportReport:
     """Import every episode directory under ``src`` into a store."""
     src = Path(src)
@@ -109,9 +114,7 @@ def import_real(src: str | Path, store_root: str | Path,
     if (store_root / "manifest.json").exists():
         store = EpisodeStore.open(store_root)
     else:
-        from ..actions import default_action_space
-
-        store = EpisodeStore.create(store_root, action_space or default_action_space())
+        store = EpisodeStore.create(store_root, default_action_space())
     space = store.action_space
 
     report = ImportReport()

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .episodes import Episode, EpisodeStore, StoreError
+from .episodes import Episode, StoreError
 
 
 class MixMode(str, Enum):
@@ -38,12 +38,6 @@ class MixPolicy:
             raise ValueError("mix must request at least one episode")
 
 
-def _materialize(pool) -> list[Episode]:
-    if isinstance(pool, EpisodeStore):
-        return list(pool.iter_episodes(load_images=False))
-    return list(pool)
-
-
 def _select(pool: Sequence[Episode], count: int, label: str,
             rng: np.random.Generator) -> list[Episode]:
     if count > len(pool):
@@ -57,13 +51,12 @@ def _select(pool: Sequence[Episode], count: int, label: str,
     return [pool[i] for i in idx]
 
 
-def mix_stream(policy: MixPolicy, sim_pool: Iterable[Episode] | EpisodeStore,
-               real_pool: Iterable[Episode] | EpisodeStore,
-               seed: int = 0) -> list[Episode]:
+def mix_stream(policy: MixPolicy, sim_pool: Iterable[Episode],
+               real_pool: Iterable[Episode], seed: int = 0) -> list[Episode]:
     """Return the mixed episode sequence for a policy; deterministic in seed."""
     rng = np.random.default_rng(seed)
-    sim = _select(_materialize(sim_pool), policy.sim_count, "sim", rng)
-    real = _select(_materialize(real_pool), policy.real_count, "real", rng)
+    sim = _select(list(sim_pool), policy.sim_count, "sim", rng)
+    real = _select(list(real_pool), policy.real_count, "real", rng)
     total = len(sim) + len(real)
     if policy.mode is MixMode.WEIGHTED_STREAM:
         merged = sim + real

@@ -1,16 +1,16 @@
-"""Dataset statistics: per-task episode counts, length distributions, and
-speed/gait/source shares, plus text-table and SVG renderings."""
+"""Dataset statistics: per-task episode counts, mean and median lengths,
+and speed/gait/source/outcome shares, plus text-table and SVG renderings."""
 
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from ..taxonomy import GaitName, Skill, SpeedLevel
 from .episodes import Episode, EpisodeStore
 
-LENGTH_BUCKETS = ((0, 5), (5, 10), (10, 20), (20, 40), (40, 80), (80, 121))
+SVG_WIDTH = 640  # pixels
 
 
 @dataclass
@@ -20,7 +20,6 @@ class TaskStats:
     success: int = 0
     mean_length: float = 0.0
     median_length: float = 0.0
-    length_hist: dict[str, int] = field(default_factory=dict)
 
     @property
     def success_rate(self) -> float:
@@ -70,10 +69,6 @@ def compute_stats(episodes: Iterable[Episode] | EpisodeStore) -> StoreStats:
         if ls:
             t.mean_length = statistics.fmean(ls)
             t.median_length = float(statistics.median(ls))
-        t.length_hist = {
-            f"[{lo},{hi})": sum(1 for x in ls if lo <= x < hi)
-            for lo, hi in LENGTH_BUCKETS
-        }
     per_task = {k: v for k, v in per_task.items() if v.count}
     return StoreStats(
         total_episodes=total,
@@ -107,15 +102,15 @@ def stats_table(stats: StoreStats) -> str:
     return "\n".join(lines) + "\n"
 
 
-def stats_svg(stats: StoreStats, width: int = 640) -> str:
+def stats_svg(stats: StoreStats) -> str:
     """Bar chart of per-task counts; a pure function of the stats."""
     tasks = sorted(stats.per_task)
     bar_h, gap, left, top = 22, 8, 120, 30
     height = top + len(tasks) * (bar_h + gap) + 20
     peak = max((stats.per_task[t].count for t in tasks), default=1)
-    span = width - left - 90
+    span = SVG_WIDTH - left - 90
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_WIDTH}" height="{height}">',
         f'<text x="{left}" y="18" font-family="monospace" font-size="13">'
         f"episodes per task (total {stats.total_episodes})</text>",
     ]

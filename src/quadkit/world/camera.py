@@ -45,7 +45,6 @@ SKY_RGB = (180, 210, 235)
 @dataclass(frozen=True)
 class Observation:
     image: np.ndarray          # (H, W, 3) uint8
-    intrinsics: CameraConfig
 
     def __post_init__(self):
         if self.image.dtype != np.uint8 or self.image.ndim != 3:
@@ -131,7 +130,7 @@ def render_observation(state: WorldState, intrinsics: CameraConfig | None = None
             pixels[v0:v1, 3 * u0:3 * u1] = _row(COLOR_RGB[ent.color], w)[:3 * (u1 - u0)]
 
     img.flags.writeable = False
-    return Observation(img, cam)
+    return Observation(img)
 
 
 def to_ppm(obs_or_image) -> bytes:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 from ..taxonomy import TaskSpec
 from .entities import Entity, EntityKind
-from .state import WorldState
+from .state import BodyState, WorldState
 
 
 @dataclass
@@ -21,10 +21,8 @@ class Scene:
     def target(self) -> Entity:
         return self.entities[self.target_index]
 
-    def initial_state(self, standing_height: float = 0.25) -> WorldState:
+    def initial_state(self, standing_height: float) -> WorldState:
         """Build the episode-start world state (robot at the origin)."""
-        from .state import BodyState
-
         carried = None
         entities = list(self.entities)
         if self.task.skill.value == "unload":

@@ -5,7 +5,8 @@ it integrates a unicycle with lateral slip at the high rate (f_high/f_low
 substeps), while realized body parameters slew toward their commanded
 values. Collision and the bar/tunnel constraints are checked on every
 substep's pose and body, so a fast robot cannot step across a thin solid;
-task success and termination are judged once per tick.
+task success and termination are judged once per tick, by
+:func:`check_success` on the scene's own task.
 
 The substep loop runs on local floats and builds one ``BodyState`` per tick.
 Collision geometry is checked against collision records: each solid, tunnel
@@ -26,7 +27,7 @@ from dataclasses import replace
 
 from ..actions import ActionCommand
 from ..config import SimConfig
-from ..taxonomy import Skill, TaskSpec
+from ..taxonomy import Skill
 from .entities import Entity, EntityKind, ROUND_SHAPES, SOLID_KINDS
 from .scene import Scene
 from .state import BodyState, Status, StepOutcome, TERMINAL_STATUSES, WorldState
@@ -159,27 +160,20 @@ def _bearing_error(state: WorldState, scene: Scene) -> float:
     return abs(_wrap_angle(math.atan2(ty - y, tx - x) - yaw))
 
 
-def check_success(state: WorldState, task: TaskSpec, scene: Scene,
-                  config: SimConfig | None = None) -> StepOutcome:
-    """Evaluate the task's success criterion on the current state.
+def check_success(state: WorldState, scene: Scene, config: SimConfig) -> Status:
+    """Evaluate the scene task's success criterion on the current state.
 
     Distance-based skills succeed strictly inside the success radius; the
     skill-specific extras (bar crossed, orientation held, ball landed in the
     receptacle, tunnel cleared) are encoded per skill below. Reports Timeout
     once the step budget is exhausted without success.
     """
-    config = config or SimConfig()
-    if task.skill != scene.task.skill:
-        raise ValueError(
-            f"task/scene mismatch: {task.skill.value} vs {scene.task.skill.value}"
-        )
-    dist = _distance_to_target(state, scene)
-    skill = task.skill
+    skill = scene.task.skill
 
     if skill in (Skill.GO_TO, Skill.GO_AVOID):
-        ok = dist < config.success_radius
+        ok = _distance_to_target(state, scene) < config.success_radius
     elif skill is Skill.CRAWL:
-        ok = dist < config.success_radius and state.bar_passed
+        ok = _distance_to_target(state, scene) < config.success_radius and state.bar_passed
     elif skill is Skill.GO_THROUGH:
         tunnel = scene.entities[scene.target_index]
         far_face = tunnel.pose[0] + tunnel.dims[0] / 2.0
@@ -201,10 +195,10 @@ def check_success(state: WorldState, task: TaskSpec, scene: Scene,
         raise ValueError(f"unknown skill {skill!r}")
 
     if ok:
-        return StepOutcome(Status.SUCCESS, dist)
+        return Status.SUCCESS
     if state.step_count >= config.max_ticks:
-        return StepOutcome(Status.TIMEOUT, dist)
-    return StepOutcome(Status.RUNNING, dist)
+        return Status.TIMEOUT
+    return Status.RUNNING
 
 
 class Simulator:
@@ -230,11 +224,8 @@ class Simulator:
     def done(self) -> bool:
         return self.status in TERMINAL_STATUSES
 
-    def distance_to_target(self) -> float:
-        return _distance_to_target(self.state, self.scene)
-
     def outcome(self) -> StepOutcome:
-        return StepOutcome(self.status, self.distance_to_target(), self.violation)
+        return StepOutcome(self.status, self.violation)
 
     def step(self, a: ActionCommand) -> StepOutcome:
         """Apply one command tick. Raises, leaving the state as it was, if the
@@ -301,8 +292,7 @@ class Simulator:
         elif not self._in_arena():
             self.status = Status.OUT_OF_BOUNDS
         else:
-            out = check_success(self.state, self.scene.task, self.scene, cfg)
-            self.status = out.status
+            self.status = check_success(self.state, self.scene, cfg)
         return self.outcome()
 
     # -- internal bookkeeping -------------------------------------------------
@@ -313,8 +303,7 @@ class Simulator:
         return x0 <= x <= x1 and y0 <= y <= y1
 
     def _maybe_mark_success(self) -> None:
-        out = check_success(self.state, self.scene.task, self.scene, self.config)
-        if out.status is Status.SUCCESS:
+        if check_success(self.state, self.scene, self.config) is Status.SUCCESS:
             self.status = Status.SUCCESS
 
     def _update_orientation_hold(self) -> None:

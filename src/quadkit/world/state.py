@@ -34,7 +34,6 @@ class BodyState:
 @dataclass(frozen=True)
 class StepOutcome:
     status: Status
-    distance_to_target: float
     violation: str | None = None
 
 

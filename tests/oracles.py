@@ -276,7 +276,7 @@ def step_reference(sim, a):
     elif not sim._in_arena():
         sim.status = Status.OUT_OF_BOUNDS
     else:
-        sim.status = check_success(sim.state, sim.scene.task, sim.scene, cfg).status
+        sim.status = check_success(sim.state, sim.scene, cfg)
     return sim.outcome()
 
 

@@ -25,6 +25,7 @@ from quadkit.store import EpisodeStore
 from quadkit.taxonomy import Split
 
 from test_import import good_episode
+from test_store import store_with_edited_record
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -203,6 +204,14 @@ def test_validate_exit_codes_follow_store_health(tmp_path):
     code, out = run_cli("validate", "--store", str(tmp_path / "store"))
     assert code == 1
     assert "sha256" in out
+
+
+def test_validate_reports_a_wrong_typed_record_without_a_traceback(tmp_path, capsys):
+    store_with_edited_record(tmp_path / "store", lambda rec: rec.__setitem__("steps", [5]))
+    code, out = run_cli("validate", "--store", str(tmp_path / "store"))
+    assert code == 1
+    assert "shards[batch-0].record[0]: TypeError: " in out
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_missing_store_is_an_operational_error(tmp_path):

@@ -84,6 +84,23 @@ def test_malformed_episodes_are_skipped_not_fatal(tmp_path):
     assert [ep.episode_id for ep in eps] == ["real-00-good"]
 
 
+def test_episodes_breaking_the_success_rule_are_skipped(tmp_path):
+    src = tmp_path / "src"
+    good_episode(src / "00-good")
+    for name, flags in (("01-no-stop", "000"), ("02-early-stop", "100"),
+                        ("03-two-stops", "011")):
+        write_episode(src / name, rows=[f"{GOOD_ROW},{f}" for f in flags],
+                      instruction="go to the red cube at normal speed with trot gait")
+    report = import_real(src, tmp_path / "store")
+    assert report.imported == 1
+    assert [name for name, _ in report.skipped] == ["01-no-stop", "02-early-stop",
+                                                    "03-two-stops"]
+    assert all("terminate" in reason for _, reason in report.skipped)
+    store = EpisodeStore.open(tmp_path / "store")
+    assert [ep.episode_id for ep in store.iter_episodes()] == ["real-00-good"]
+    assert store.validate() == []
+
+
 def test_out_of_range_commands_are_clamped_into_the_space(tmp_path):
     src = tmp_path / "src"
     row = "9.0,0.0,0.1,0.5,0.0,0.0,3.0,0.25,0.0,0.3,0.08,1"  # v_x over max

@@ -310,10 +310,10 @@ def test_go_to_succeeds_strictly_inside_one_meter():
     cfg = SimConfig()
     scene = go_to_scene(target_xy=(3.0, 0.0))
     at = lambda x: WorldState(robot_pose=(x, 0.0, 0.0))
-    assert check_success(at(2.0), scene.task, scene, cfg).status is Status.RUNNING
-    assert check_success(at(2.001), scene.task, scene, cfg).status is Status.SUCCESS
-    boundary = check_success(at(2.0 - 1e-12), scene.task, scene, cfg)
-    assert boundary.status is Status.RUNNING  # strict <
+    assert check_success(at(2.0), scene, cfg) is Status.RUNNING
+    assert check_success(at(2.001), scene, cfg) is Status.SUCCESS
+    boundary = check_success(at(2.0 - 1e-12), scene, cfg)
+    assert boundary is Status.RUNNING  # strict <
 
 
 def test_crawl_needs_both_proximity_and_bar_crossing():
@@ -325,10 +325,10 @@ def test_crawl_needs_both_proximity_and_bar_crossing():
     scene = Scene(task=task(Skill.CRAWL, ObjectRef("bar")),
                   entities=[marker, bar], target_index=0, goal_xy=(3.0, 1.0))
     near = WorldState(robot_pose=(2.8, 1.0, 0.0))
-    assert check_success(near, scene.task, scene, cfg).status is Status.RUNNING
+    assert check_success(near, scene, cfg) is Status.RUNNING
     crossed = replace(near)
     crossed.bar_passed = True
-    assert check_success(crossed, scene.task, scene, cfg).status is Status.SUCCESS
+    assert check_success(crossed, scene, cfg) is Status.SUCCESS
 
 
 def test_go_through_needs_exit_beyond_far_face_inside_passage():
@@ -344,11 +344,11 @@ def test_go_through_needs_exit_beyond_far_face_inside_passage():
                   entities=[tunnel], target_index=0, goal_xy=(4.0, 1.0))
     far_face = 3.0 + 0.4
     at = lambda x, y: WorldState(robot_pose=(x, y, 0.0))
-    assert check_success(at(far_face + 0.2, 1.0), scene.task, scene, cfg).status \
+    assert check_success(at(far_face + 0.2, 1.0), scene, cfg) \
         is Status.RUNNING  # not yet past the margin
-    assert check_success(at(far_face + 0.31, 1.0), scene.task, scene, cfg).status \
+    assert check_success(at(far_face + 0.31, 1.0), scene, cfg) \
         is Status.SUCCESS
-    assert check_success(at(far_face + 0.31, 1.0 + 0.6), scene.task, scene, cfg).status \
+    assert check_success(at(far_face + 0.31, 1.0 + 0.6), scene, cfg) \
         is Status.RUNNING  # exited outside the passage
 
 
@@ -360,9 +360,9 @@ def test_distinguish_requires_holding_orientation():
                   entities=[box], target_index=0, goal_xy=(3.0, 1.0))
     state = WorldState(robot_pose=(0.0, 0.0, 0.0))
     state.oriented_ticks = cfg.distinguish_hold_ticks - 1
-    assert check_success(state, scene.task, scene, cfg).status is Status.RUNNING
+    assert check_success(state, scene, cfg) is Status.RUNNING
     state.oriented_ticks = cfg.distinguish_hold_ticks
-    assert check_success(state, scene.task, scene, cfg).status is Status.SUCCESS
+    assert check_success(state, scene, cfg) is Status.SUCCESS
 
 
 def test_unload_succeeds_when_ball_lands_inside_receptacle():
@@ -376,8 +376,8 @@ def test_unload_succeeds_when_ball_lands_inside_receptacle():
     ball_out = replace(ball_in, pose=(3.6, 1.0, 0.0))
     inside = WorldState(robot_pose=(2.5, 1.0, 0.0), entities=[tray, ball_in])
     outside = WorldState(robot_pose=(2.5, 1.0, 0.0), entities=[tray, ball_out])
-    assert check_success(inside, scene.task, scene, cfg).status is Status.SUCCESS
-    assert check_success(outside, scene.task, scene, cfg).status is Status.RUNNING
+    assert check_success(inside, scene, cfg) is Status.SUCCESS
+    assert check_success(outside, scene, cfg) is Status.RUNNING
 
 
 def test_pitch_command_releases_the_carried_ball_forward():

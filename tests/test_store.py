@@ -32,7 +32,9 @@ def make_image(seed: int, shape=(6, 8, 3)) -> np.ndarray:
 def make_episode(i: int, *, source: str = "sim", outcome: str = "success",
                  n_steps: int = 3, skill: Skill = Skill.GO_TO,
                  image_seed: int | None = None) -> Episode:
-    cmd = ActionCommand(0.5, 0.0, 0.1, 0.5, 0.0, 0.0, 3.0, 0.25, 0.0, 0.3, 0.08)
+    cmds = [ActionCommand(0.5, 0.0, 0.1, 0.5, 0.0, 0.0, 3.0, 0.25, 0.0, 0.3, 0.08)] * n_steps
+    if outcome == "success":  # a success ends with its one stop step
+        cmds[-1] = ActionCommand(terminate=True)
     steps = [
         Step(
             image=make_image(i * 97 + j if image_seed is None else image_seed),
@@ -40,7 +42,7 @@ def make_episode(i: int, *, source: str = "sim", outcome: str = "success",
             command=cmd,
             pose=(0.1 * j, 0.0, 0.0),
         )
-        for j in range(n_steps)
+        for j, cmd in enumerate(cmds)
     ]
     task = TaskSpec(skill, ObjectRef("cube", Color.RED), SpeedLevel.NORMAL,
                     GaitName.TROT)
@@ -163,6 +165,97 @@ def test_validate_catches_count_drift(tmp_path):
     manifest_path.write_text(json.dumps(manifest))
     problems = EpisodeStore.open(tmp_path / "s").validate()
     assert any("episode_count" in p for p in problems)
+
+
+def store_with_edited_record(root: Path, edit) -> EpisodeStore:
+    """A store holding ``make_episode(0)`` whose one record was rewritten by
+    ``edit(record_dict)``, with the manifest checksum updated to match."""
+    EpisodeStore.create(root, SPACE).write_shard("batch-0", [make_episode(0)])
+    shard = root / "shards" / "batch-0.rec"
+    rec = json.loads(shard.read_bytes()[4:])
+    edit(rec)
+    payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    data = len(payload).to_bytes(4, "big") + payload
+    shard.write_bytes(data)
+    manifest_path = root / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shards"][0]["sha256"] = hashlib.sha256(data).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+    return EpisodeStore.open(root)
+
+
+def record_problems(store: EpisodeStore) -> list[str]:
+    return [p for p in store.validate() if p.startswith("shards[")]
+
+
+@pytest.mark.parametrize("flags, found", [
+    ((0, 0, 0), []),
+    ((1, 0, 0), [0]),
+    ((0, 1, 1), [1, 2]),
+], ids=["no-terminate", "earlier-terminate", "two-terminates"])
+def test_validate_requires_one_final_terminate_on_success(tmp_path, flags, found):
+    def edit(rec):
+        for step, flag in zip(rec["steps"], flags):
+            step["tokens"][-1] = flag
+    store = store_with_edited_record(tmp_path / "s", edit)
+    assert store.validate() == [
+        "shards[batch-0].record[0].outcome: a success carries the terminate token "
+        f"exactly once, at its last step; found it at steps {found}"
+    ]
+
+
+def test_validate_lets_a_failed_episode_end_without_terminate(tmp_path):
+    def edit(rec):
+        rec["outcome"] = "collision"
+        rec["steps"][-1]["tokens"][-1] = 0
+    assert store_with_edited_record(tmp_path / "s", edit).validate() == []
+
+
+def test_validate_decodes_every_token_under_the_action_space(tmp_path):
+    store = store_with_edited_record(
+        tmp_path / "s", lambda rec: rec["steps"][1]["tokens"].__setitem__(0, 999))
+    assert store.validate() == [
+        "shards[batch-0].record[0].steps[1].tokens: "
+        "detokenize: token 999 out of range for dimension 'v_x'"
+    ]
+
+
+@pytest.mark.parametrize("edit, error", [
+    (lambda rec: rec.__setitem__("steps", [5]), "TypeError"),
+    (lambda rec: rec.__setitem__("task", "x"), "TypeError"),
+    (lambda rec: rec["task"].__setitem__("object", "x"), "AttributeError"),
+    (lambda rec: rec["steps"][0]["tokens"].__setitem__(0, float("inf")), "OverflowError"),
+], ids=["steps-of-ints", "task-string", "object-string", "infinite-token"])
+def test_validate_reports_wrong_typed_values_instead_of_raising(tmp_path, edit, error):
+    problems = record_problems(store_with_edited_record(tmp_path / "s", edit))
+    assert len(problems) == 1
+    assert problems[0].startswith(f"shards[batch-0].record[0]: {error}: ")
+
+
+@pytest.mark.parametrize("edit, word", [
+    (lambda rec: rec.pop("seed"), "seed"),
+    (lambda rec: rec.__setitem__("outcome", "shrug"), "'shrug'"),
+    (lambda rec: rec["steps"][0]["tokens"].pop(), "12 entries"),
+], ids=["missing-key", "unknown-outcome", "eleven-tokens"])
+def test_validate_flags_each_malformed_record_once(tmp_path, edit, word):
+    problems = record_problems(store_with_edited_record(tmp_path / "s", edit))
+    assert len(problems) == 1
+    assert problems[0].startswith("shards[batch-0].record[0]") and word in problems[0]
+
+
+def test_validate_reports_an_image_reference_outside_the_store(tmp_path):
+    store = store_with_edited_record(
+        tmp_path / "s", lambda rec: rec["steps"][0].__setitem__("obs", "/outside"))
+    assert "obs//o//outside.ppm: missing image" in store.validate()
+
+
+def test_validate_reports_a_missing_image_once(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    store.write_shard("batch-0", [make_episode(i, image_seed=7) for i in range(4)])
+    (victim,) = (tmp_path / "s" / "obs").rglob("*.ppm")
+    victim.unlink()
+    rel = victim.relative_to(tmp_path / "s").as_posix()
+    assert EpisodeStore.open(tmp_path / "s").validate() == [f"{rel}: missing image"]
 
 
 def test_duplicate_shard_names_are_rejected(tmp_path):
