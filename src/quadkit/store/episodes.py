@@ -15,15 +15,22 @@ Concurrent writers each own one shard file; the manifest commit is
 serialized by an exclusive ``flock`` on the store root directory, which the
 kernel drops when its holder exits, so a killed writer never blocks the
 next commit and no lock file is left in the store.
+
+Each shard writer forks one child that creates the observation files, so
+the kernel's file-creation work overlaps the episode loop. A shard file
+appears under its name only after the child has written every image it
+refers to.
 """
 
 from __future__ import annotations
 
 import fcntl
+import gc
 import hashlib
 import json
 import os
 import re
+import signal
 import struct
 from collections import Counter
 from contextlib import contextmanager
@@ -44,6 +51,8 @@ _LEN = struct.Struct(">I")
 # A step's observation reference as it appears in a canonical record; a
 # quote inside a JSON string is escaped, so only the key itself matches.
 _OBS_REF = re.compile(rb'"obs":"([0-9a-f]{64})"')
+_SHA = re.compile(r"[0-9a-f]{64}")
+_PIPE_BYTES = 1 << 20  # the image pipe holds about a hundred 64x48 frames
 
 OUTCOMES = ("success", "collision", "timeout", "out_of_bounds", "unplannable")
 SOURCES = ("sim", "real")
@@ -152,8 +161,115 @@ def _manifest_lock(root: Path):
         os.close(fd)
 
 
+class _ImageWriter:
+    """A forked child that writes observation rasters under ``obs``.
+
+    The parent sends each distinct image once, as a frame of its 64 hex
+    digits, a 4-byte length and the PPM bytes; the child stores the frame
+    under ``obs/<aa>/<sha256>.ppm`` unless that file exists, through a
+    temporary file named with its pid and an atomic rename. At end of input
+    it reports ``ok`` on a second pipe, or its first error.
+    """
+
+    def __init__(self, obs: Path):
+        data_r, data_w = os.pipe()
+        status_r, status_w = os.pipe()
+        try:
+            fcntl.fcntl(data_w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (AttributeError, OSError):
+            pass  # keep the default pipe size
+        self.pid = os.fork()
+        if self.pid == 0:
+            _image_writer_main(data_r, status_w, str(obs))
+        os.close(data_r)
+        os.close(status_w)
+        self._pipe = open(data_w, "wb")
+        self._status = status_r
+        self._sent: set[str] = set()
+
+    def send(self, sha: str, data: bytes) -> None:
+        if sha not in self._sent:
+            self._sent.add(sha)
+            self._pipe.write(sha.encode() + _LEN.pack(len(data)) + data)
+
+    def join(self) -> None:
+        """End the input and reap the child; raise ``StoreError`` with the
+        child's message unless it wrote every image. Later calls do nothing."""
+        if self.pid is None:
+            return
+        try:
+            self._pipe.close()
+        except BrokenPipeError:
+            pass  # the child stopped early; its status says why
+        status = b""
+        while chunk := os.read(self._status, 4096):
+            status += chunk
+        os.close(self._status)
+        os.waitpid(self.pid, 0)
+        self.pid = None
+        if status != b"ok":
+            reason = status.decode(errors="replace") or "exited without a status"
+            raise StoreError(f"image writer failed: {reason}")
+
+
+def _image_writer_main(data_fd: int, status_fd: int, obs: str) -> None:
+    """The body of an :class:`_ImageWriter` child; never returns."""
+    code = 1
+    try:
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # finish what was sent
+        gc.disable()  # no collection touches or finalizes the parent's objects
+        low, high = sorted((data_fd, status_fd))
+        os.closerange(0, low)
+        os.closerange(low + 1, high)
+        os.closerange(high + 1, os.sysconf("SC_OPEN_MAX"))
+        status = b"ok"
+        try:
+            with open(data_fd, "rb") as frames:
+                while head := frames.read(64 + _LEN.size):
+                    (length,) = _LEN.unpack(head[64:])
+                    data = frames.read(length)
+                    if len(data) != length:  # the parent died inside a frame
+                        raise StoreError("truncated image frame")
+                    _store_image(obs, head[:64].decode(), data)
+            code = 0
+        except BaseException as exc:
+            status = f"{type(exc).__name__}: {exc}".encode()[:4096]
+        os.write(status_fd, status)
+    finally:
+        os._exit(code)
+
+
+def _store_image(obs: str, sha: str, data: bytes) -> None:
+    folder = os.path.join(obs, sha[:2])
+    path = os.path.join(folder, f"{sha}.ppm")
+    if os.path.exists(path):
+        return
+    # Per-process temporary name, so concurrent writers of the same image
+    # cannot interleave; the rename is atomic either way.
+    tmp = os.path.join(folder, f"{sha}.{os.getpid()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+    try:
+        fd = os.open(tmp, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(folder, exist_ok=True)
+        fd = os.open(tmp, flags, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+    finally:
+        os.close(fd)
+    os.replace(tmp, path)
+
+
 class ShardWriter:
-    """Appends episodes to one shard file; one writer per shard."""
+    """Appends episodes to one shard file; one writer per shard.
+
+    Records go to ``shards/<name>.rec.tmp``, and images to this writer's
+    :class:`_ImageWriter`. :meth:`close` waits until the child has written
+    every image, then renames the shard file into place; an exception exit
+    reaps the child and removes the temporary shard file.
+    """
 
     def __init__(self, store: "EpisodeStore", name: str):
         if any(s.name == name for s in store.shards):
@@ -163,12 +279,22 @@ class ShardWriter:
         self.path = store._shard_path(name)
         if self.path.exists():
             raise StoreError(f"shard file {self.path} already exists")
-        self._fh = open(self.path, "wb")
+        self._tmp = self.path.with_name(f"{self.path.name}.tmp")
+        self._images = _ImageWriter(store.root / "obs")
+        try:
+            self._fh = open(self._tmp, "wb")
+        except BaseException:
+            self._images.join()
+            raise
         self._hash = hashlib.sha256()
         self._count = 0
 
     def add(self, ep: Episode) -> None:
-        shas = [self.store.put_image(step.image) for step in ep.steps]
+        try:
+            shas = [self.store.put_image(step.image, self._images) for step in ep.steps]
+        except BrokenPipeError:
+            self._images.join()  # raises the child's own error
+            raise
         payload = _canonical_json(_episode_record(ep, shas))
         framed = _LEN.pack(len(payload)) + payload
         self._fh.write(framed)
@@ -176,8 +302,22 @@ class ShardWriter:
         self._count += 1
 
     def close(self) -> ShardInfo:
-        self._fh.close()
+        try:
+            self._fh.close()
+            self._images.join()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self._discard()
+            raise
         return ShardInfo(self.name, self._count, self._hash.hexdigest())
+
+    def _discard(self) -> None:
+        self._fh.close()
+        try:
+            self._images.join()
+        except StoreError:
+            pass  # the exception that ended the writer is the one to report
+        self._tmp.unlink(missing_ok=True)
 
     def __enter__(self):
         return self
@@ -186,7 +326,7 @@ class ShardWriter:
         if exc_type is None:
             self.info = self.close()
         else:
-            self._fh.close()
+            self._discard()
 
 
 class EpisodeStore:
@@ -255,17 +395,11 @@ class EpisodeStore:
     def _image_path(self, sha: str) -> Path:
         return self.root / "obs" / sha[:2] / f"{sha}.ppm"
 
-    def put_image(self, image: np.ndarray) -> str:
+    def put_image(self, image: np.ndarray, sink: _ImageWriter) -> str:
+        """Encode ``image`` and send it to ``sink``, which writes it once; returns its sha."""
         data = to_ppm(image)
         sha = hashlib.sha256(data).hexdigest()
-        path = self._image_path(sha)
-        if not path.exists():
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Per-process temp name so concurrent writers of the same image
-            # cannot interleave; the final rename is atomic either way.
-            tmp = path.with_suffix(f".{os.getpid()}.tmp")
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+        sink.send(sha, data)
         return sha
 
     def load_image(self, sha: str) -> np.ndarray:
@@ -324,18 +458,29 @@ class EpisodeStore:
                 payload = fh.read(length)
                 if len(payload) < length:
                     raise StoreError(f"{name}: truncated record payload")
-                yield json.loads(payload)
+                try:
+                    rec = json.loads(payload)
+                except RecursionError:
+                    raise StoreError(f"{name}: record nested too deeply") from None
+                yield rec
 
     def _episode_from_record(self, rec: dict, load_image) -> Episode:
         steps = []
         for s in rec["steps"]:
+            obs, tokens, pose = s["obs"], s["tokens"], s["pose"]
+            if not (isinstance(obs, str) and _SHA.fullmatch(obs)):
+                raise StoreError(f"obs must be 64 lowercase hex digits, got {obs!r}")
+            if not all(type(t) is int for t in tokens):
+                raise StoreError(f"tokens must be JSON integers, got {tokens!r}")
+            if len(pose) != 3 or not all(type(v) in (int, float) for v in pose):
+                raise StoreError(f"pose must be 3 numbers, got {pose!r}")
             steps.append(Step(
-                image=load_image(s["obs"]),
-                tokens=tuple(int(t) for t in s["tokens"]),
+                image=load_image(obs),
+                tokens=tuple(tokens),
                 command=ActionCommand.from_continuous(
                     s["command"]["values"], s["command"]["terminate"]
                 ),
-                pose=tuple(s["pose"]),
+                pose=tuple(pose),
             ))
         return Episode(
             episode_id=rec["episode_id"],

@@ -72,7 +72,11 @@ def test_collect_is_byte_deterministic(tmp_path):
 def test_worker_count_does_not_change_the_bytes(tmp_path):
     collect_small(tmp_path / "serial", "--workers", "1")
     collect_small(tmp_path / "parallel", "--workers", "2")
-    assert tree_bytes(tmp_path / "serial") == tree_bytes(tmp_path / "parallel")
+    serial = tree_bytes(tmp_path / "serial")
+    assert serial == tree_bytes(tmp_path / "parallel")
+    assert not any(name.endswith(".tmp") for name in serial)
+    with pytest.raises(ChildProcessError):  # every image writer was reaped
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_collect_real_source_labels_episodes(tmp_path):

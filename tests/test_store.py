@@ -3,6 +3,8 @@ validation, concurrent shard commits, and statistics."""
 
 import hashlib
 import json
+import os
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -21,6 +23,7 @@ from quadkit.store import (
     stats_table,
 )
 from quadkit.taxonomy import Color, GaitName, ObjectRef, Skill, SpeedLevel, TaskSpec
+from quadkit.world.camera import to_ppm
 
 SPACE = default_action_space()
 
@@ -170,11 +173,19 @@ def test_validate_catches_count_drift(tmp_path):
 def store_with_edited_record(root: Path, edit) -> EpisodeStore:
     """A store holding ``make_episode(0)`` whose one record was rewritten by
     ``edit(record_dict)``, with the manifest checksum updated to match."""
+    def rewrite(payload: bytes) -> bytes:
+        rec = json.loads(payload)
+        edit(rec)
+        return json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    return store_with_rewritten_record(root, rewrite)
+
+
+def store_with_rewritten_record(root: Path, rewrite) -> EpisodeStore:
+    """A store holding ``make_episode(0)`` whose one record's payload was
+    replaced by ``rewrite(payload_bytes)``, with the manifest checksum updated."""
     EpisodeStore.create(root, SPACE).write_shard("batch-0", [make_episode(0)])
     shard = root / "shards" / "batch-0.rec"
-    rec = json.loads(shard.read_bytes()[4:])
-    edit(rec)
-    payload = json.dumps(rec, sort_keys=True, separators=(",", ":")).encode()
+    payload = rewrite(shard.read_bytes()[4:])
     data = len(payload).to_bytes(4, "big") + payload
     shard.write_bytes(data)
     manifest_path = root / "manifest.json"
@@ -224,7 +235,7 @@ def test_validate_decodes_every_token_under_the_action_space(tmp_path):
     (lambda rec: rec.__setitem__("steps", [5]), "TypeError"),
     (lambda rec: rec.__setitem__("task", "x"), "TypeError"),
     (lambda rec: rec["task"].__setitem__("object", "x"), "AttributeError"),
-    (lambda rec: rec["steps"][0]["tokens"].__setitem__(0, float("inf")), "OverflowError"),
+    (lambda rec: rec["steps"][0]["tokens"].__setitem__(0, float("inf")), "StoreError"),
 ], ids=["steps-of-ints", "task-string", "object-string", "infinite-token"])
 def test_validate_reports_wrong_typed_values_instead_of_raising(tmp_path, edit, error):
     problems = record_problems(store_with_edited_record(tmp_path / "s", edit))
@@ -236,7 +247,11 @@ def test_validate_reports_wrong_typed_values_instead_of_raising(tmp_path, edit, 
     (lambda rec: rec.pop("seed"), "seed"),
     (lambda rec: rec.__setitem__("outcome", "shrug"), "'shrug'"),
     (lambda rec: rec["steps"][0]["tokens"].pop(), "12 entries"),
-], ids=["missing-key", "unknown-outcome", "eleven-tokens"])
+    (lambda rec: rec["steps"][0]["tokens"].__setitem__(0, 1.5), "JSON integers"),
+    (lambda rec: rec["steps"][0]["tokens"].__setitem__(0, True), "JSON integers"),
+    (lambda rec: rec["steps"][1]["pose"].pop(), "3 numbers"),
+], ids=["missing-key", "unknown-outcome", "eleven-tokens", "fractional-token", "bool-token",
+        "two-entry-pose"])
 def test_validate_flags_each_malformed_record_once(tmp_path, edit, word):
     problems = record_problems(store_with_edited_record(tmp_path / "s", edit))
     assert len(problems) == 1
@@ -246,7 +261,21 @@ def test_validate_flags_each_malformed_record_once(tmp_path, edit, word):
 def test_validate_reports_an_image_reference_outside_the_store(tmp_path):
     store = store_with_edited_record(
         tmp_path / "s", lambda rec: rec["steps"][0].__setitem__("obs", "/outside"))
-    assert "obs//o//outside.ppm: missing image" in store.validate()
+    problems = store.validate()
+    assert record_problems(store) == [
+        "shards[batch-0].record[0]: StoreError: "
+        "obs must be 64 lowercase hex digits, got '/outside'"
+    ]
+    assert not any("outside" in p for p in problems if not p.startswith("shards["))
+
+
+def test_validate_reports_a_deeply_nested_record(tmp_path):
+    store = store_with_rewritten_record(
+        tmp_path / "s", lambda payload: b"[" * 100_000 + b"]" * 100_000)
+    assert record_problems(store) == [
+        "shards[batch-0]: batch-0: record nested too deeply",
+        "shards[batch-0].episodes: manifest says 1, found 0",
+    ]
 
 
 def test_validate_reports_a_missing_image_once(tmp_path):
@@ -263,6 +292,73 @@ def test_duplicate_shard_names_are_rejected(tmp_path):
     store.write_shard("batch-0", [make_episode(0)])
     with pytest.raises(StoreError):
         store.write_shard("batch-0", [make_episode(1)])
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_exception_leaves_no_shard_file_and_the_name_free(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    with pytest.raises(KeyError):
+        with store.shard_writer("a") as writer:
+            writer.add(make_episode(0, image_seed=7))
+            raise KeyError("stop")
+    assert list((tmp_path / "s" / "shards").iterdir()) == []
+    assert_no_child_left()
+    store.write_shard("a", [make_episode(1, image_seed=7)])
+    assert store.validate() == []
+
+
+def test_a_stale_temporary_shard_file_is_overwritten(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    (tmp_path / "s" / "shards" / "a.rec.tmp").write_bytes(b"left by a killed run")
+    store.write_shard("a", [make_episode(0)])
+    assert store.validate() == []
+    assert sorted(p.name for p in (tmp_path / "s" / "shards").iterdir()) == ["a.rec"]
+
+
+def test_two_open_writers_in_one_process_both_close(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    first, second = store.shard_writer("a"), store.shard_writer("b")
+    first.add(make_episode(0))
+    second.add(make_episode(1))
+    # The first child sees the end of its input only if the second child
+    # holds no copy of the first pipe. Should close() hang, the alarm kills
+    # the first child, and close() fails for want of its status.
+    stuck = first._images.pid
+    previous = signal.signal(signal.SIGALRM, lambda *_: os.kill(stuck, signal.SIGKILL))
+    signal.alarm(30)
+    try:
+        infos = [first.close(), second.close()]
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    store.commit_shards(infos)
+    assert store.validate() == []
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("shape", [(6, 8, 3), (240, 320, 3)], ids=["at-close", "while-adding"])
+def test_a_failed_image_write_raises_the_childs_error(tmp_path, shape):
+    # Large images fill the pipe after the child stopped, so the parent's own
+    # error is a broken pipe; the child's message is raised either way.
+    root = tmp_path / "s"
+    store = EpisodeStore.create(root, SPACE)
+    eps = [make_episode(i) for i in range(10)]
+    for ep in eps:
+        for j, step in enumerate(ep.steps):
+            step.image = make_image(int(ep.seed) * 97 + j, shape)
+    sha = hashlib.sha256(to_ppm(eps[0].steps[0].image)).hexdigest()
+    (root / "obs" / sha[:2]).write_bytes(b"a file where a folder belongs")
+    with pytest.raises(StoreError, match="image writer failed: NotADirectoryError"):
+        with store.shard_writer("a") as writer:
+            for ep in eps:
+                writer.add(ep)
+    assert list((root / "shards").iterdir()) == []
+    assert not list((root / "obs").rglob("*.tmp"))
+    assert_no_child_left()
 
 
 def test_create_refuses_to_clobber_and_open_requires_manifest(tmp_path):
