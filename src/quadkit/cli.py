@@ -4,8 +4,9 @@ Subcommands: collect (scripted episodes into a store), stats, eval, render,
 import-real, validate. Reads an optional run config from --config or the
 QUARD_CONFIG environment variable. Exit codes: 0 on success, 1 on an
 operational failure (bad store, no path, malformed input; -v adds its
-traceback), 2 on usage errors (argparse handles those). All logs go to
-stderr; result tables go to stdout.
+traceback), 2 on usage errors (argparse handles those), 130 on an interrupt
+(SIGINT), which prints one line and no traceback. All logs go to stderr;
+result tables go to stdout.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import argparse
 import json
 import logging
 import os
+import signal
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -89,12 +91,23 @@ def _desk_plan() -> list[tuple[str, int, str]]:
 
 
 def _collect_shard(root: str, shard: str, jobs: list, run: RunConfig) -> dict:
-    """Worker: generate one shard's episodes and write them (no commit)."""
+    """Worker: generate one shard's episodes and write them (no commit).
+
+    SIGINT is held while the shard is open and taken between episodes, so an
+    interrupt always leaves through the writer's clean-up: its image writer
+    reaped, its temporary shard file removed.
+    """
     store = EpisodeStore.open(root)
     space = store.action_space
-    with store.shard_writer(shard) as writer:
-        for task, seed, source in jobs:
-            writer.add(generate_episode(task, seed, run, space, source=source))
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+    try:
+        with store.shard_writer(shard) as writer:
+            for task, seed, source in jobs:
+                if signal.SIGINT in signal.sigpending():
+                    raise KeyboardInterrupt
+                writer.add(generate_episode(task, seed, run, space, source=source))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending SIGINT is taken here
     return asdict(writer.info)
 
 
@@ -125,12 +138,20 @@ def cmd_collect(args) -> int:
     log.info("collecting %d episodes into %s (%d shards, %d workers)",
              total, root, len(shards), args.workers)
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        # Pool workers hold SIGINT for good: each shard takes it between
+        # episodes, and an idle worker prints no traceback.
+        with ProcessPoolExecutor(max_workers=args.workers,
+                                 initializer=signal.pthread_sigmask,
+                                 initargs=(signal.SIG_BLOCK, {signal.SIGINT})) as pool:
             futures = [
                 pool.submit(_collect_shard, str(root), shard, jobs, run)
                 for shard, jobs in shards
             ]
-            infos = [f.result() for f in futures]
+            try:
+                infos = [f.result() for f in futures]
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # start no further shard
+                raise
     else:
         infos = [_collect_shard(str(root), shard, jobs, run) for shard, jobs in shards]
 
@@ -346,23 +367,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sigint(signum, frame) -> None:
+    """Raise ``KeyboardInterrupt`` once and ignore repeated signals, so that
+    clean-up (reaping image writers, removing temporary shards) runs to its
+    end."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    raise KeyboardInterrupt
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
+    previous = signal.signal(signal.SIGINT, _sigint)
     try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except OPERATIONAL_ERRORS as exc:
-        if args.verbose:
-            traceback.print_exc()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            stream=sys.stderr,
+            level=logging.INFO if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
+        try:
+            return args.func(args)
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except OPERATIONAL_ERRORS as exc:
+            if args.verbose:
+                traceback.print_exc()
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
+    finally:
+        signal.signal(signal.SIGINT, previous)
 
 
 if __name__ == "__main__":

@@ -14,6 +14,11 @@ neighbours are the k smallest float32 squared distances, ties broken by
 training-step order (the first k of a stable sort), and a per-position vote
 tie goes to the smaller token. The query keeps it in O(n): a partition finds
 the k-th distance, and only the candidates at or below it are sorted.
+
+The distance's ``features @ q`` and ``q @ q`` are the only BLAS calls in
+the package (frames are projected in plain floats). Their float32 rounding
+depends on the kernel OpenBLAS picks for the CPU, so near-tied neighbours,
+and with them the kNN report bytes, can differ between machines.
 """
 
 from __future__ import annotations

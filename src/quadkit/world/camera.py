@@ -6,13 +6,16 @@ bounding boxes in painter's order; ground and sky fill the rest. The raster
 is a pure function of (state, intrinsics): identical states give
 byte-identical images.
 
-All entities' corners are projected together: one ``(8N, 3) @ (3,)``
-product per camera axis, with the same elementwise expressions as projecting
-each entity's ``(8, 3)`` corners on its own, and boxes rounded half to even
-as ``round`` does. The camera's down axis is ``forward x right`` written out
-term by term as ``np.cross`` computes it. The bytes are the same as a
-per-entity projection (``tests/oracles.py`` keeps that form as the
-reference).
+The projection is plain IEEE double arithmetic in Python floats, with no
+BLAS call, so the bytes do not depend on the machine. Each corner's offset
+from the camera is ``(ex -/+ hx) - px``, ``(ey -/+ hy) - py`` and
+``0.0 - pz`` or ``dz - pz``; its coordinate on a camera axis ``v`` is the
+left-to-right sum ``(a*v0 + b*v1) + c*v2``; its image coordinates are
+``cx + fx*X/zc`` and ``cy + fx*Y/zc``, with depths at or in front of the
+near plane clamped to it. Boxes are rounded half to even. The camera's down
+axis is ``forward x right`` written out term by term as ``np.cross``
+computes it. ``tests/oracles.py`` keeps a per-entity numpy form of the same
+arithmetic as the reference.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ class Observation:
             raise ValueError("observation image must be (H, W, 3) uint8")
 
 
-# Corner order of an entity's bounding box: x sign, then y sign, then base
-# (z = 0) before top (z = dz).
-_CORNER_X = np.array([-1.0, -1.0, -1.0, -1.0, 1.0, 1.0, 1.0, 1.0])
-_CORNER_Y = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
-_CORNER_TOP = np.array([0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
-
-
 @functools.lru_cache(maxsize=64)
 def _row(rgb: tuple[int, int, int], width: int) -> np.ndarray:
     """``width`` pixels of one color as a flat, read-only uint8 row."""
@@ -66,13 +62,14 @@ def _row(rgb: tuple[int, int, int], width: int) -> np.ndarray:
     return row
 
 
-def _camera_basis(yaw: float, pitch: float):
-    cy, sy = math.cos(yaw), math.sin(yaw)
-    cp, sp = math.cos(pitch), math.sin(pitch)
-    f0, f1, f2 = cp * cy, cp * sy, sp
-    r0, r1, r2 = sy, -cy, 0.0
-    down = (f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0)
-    return np.array([r0, r1, r2]), np.array(down), np.array([f0, f1, f2])
+@functools.lru_cache(maxsize=64)
+def _background(split: int, width: int, height: int) -> np.ndarray:
+    """Sky above row ``split`` and ground from it down, read-only."""
+    image = np.empty((height, width, 3), dtype=np.uint8)
+    image[:split] = SKY_RGB
+    image[split:] = GROUND_RGB
+    image.flags.writeable = False
+    return image
 
 
 def render_observation(state: WorldState, intrinsics: CameraConfig | None = None) -> Observation:
@@ -83,49 +80,51 @@ def render_observation(state: WorldState, intrinsics: CameraConfig | None = None
 
     x, y, yaw = state.robot_pose
     pitch = state.body.phi
-    right, down, forward = _camera_basis(yaw, pitch)
-    cam_pos = np.array([
-        x + cam.forward_offset * math.cos(yaw),
-        y + cam.forward_offset * math.sin(yaw),
-        state.body.h_z + cam.height_offset,
-    ])
+    cos_y, sin_y = math.cos(yaw), math.sin(yaw)
+    cos_p, sin_p = math.cos(pitch), math.sin(pitch)
+    f0, f1, f2 = cos_p * cos_y, cos_p * sin_y, sin_p   # forward
+    r0, r1, r2 = sin_y, -cos_y, 0.0                    # right
+    d0, d1, d2 = f1 * r2 - f2 * r1, f2 * r0 - f0 * r2, f0 * r1 - f1 * r0  # down
+    px = x + cam.forward_offset * cos_y
+    py = y + cam.forward_offset * sin_y
+    pz = state.body.h_z + cam.height_offset
+    near = cam.near_plane
 
-    img = np.empty((h, w, 3), dtype=np.uint8)
-    pixels = img.reshape(h, w * 3)  # a view: one row of w RGB triples per line
     horizon = cy_px + fx * math.tan(pitch)
-    split = min(max(int(math.ceil(horizon)), 0), h)
-    pixels[:split] = _row(SKY_RGB, w)
-    pixels[split:] = _row(GROUND_RGB, w)
+    img = _background(min(max(int(math.ceil(horizon)), 0), h), w, h).copy()
+    pixels = img.reshape(h, w * 3)  # a view: one row of w RGB triples per line
 
     # Painter's order: far entities first.
     order = sorted(
         state.entities,
         key=lambda e: -((e.pose[0] - x) ** 2 + (e.pose[1] - y) ** 2),
     )
-    n = len(order)
-    boxes = np.array([
-        (e.pose[0], e.pose[1], e.dims[0] / 2.0, e.dims[1] / 2.0, e.dims[2])
-        for e in order
-    ]).reshape(n, 5)
-    rel = np.empty((n, 8, 3))
-    rel[:, :, 0] = boxes[:, 0:1] + _CORNER_X * boxes[:, 2:3]
-    rel[:, :, 1] = boxes[:, 1:2] + _CORNER_Y * boxes[:, 3:4]
-    rel[:, :, 2] = _CORNER_TOP * boxes[:, 4:5]
-    rel -= cam_pos
-    rel = rel.reshape(-1, 3)
-    zc = rel @ forward
-    visible = ~(zc <= cam.near_plane).reshape(n, 8).all(axis=1)
-    zc = np.maximum(zc, cam.near_plane)
-    uv = np.array([[cx], [cy_px]]) + fx * np.array([rel @ right, rel @ down]) / zc
-    uv = uv.reshape(2, n, 8)
-    # Round both edges so the filled area is unbiased wrt the exact box.
-    (u0s, v0s), (u1s, v1s) = (np.rint(uv.min(axis=2)).tolist(),
-                              np.rint(uv.max(axis=2)).tolist())
-    for ent, shown, u0, u1, v0, v1 in zip(order, visible.tolist(), u0s, u1s, v0s, v1s):
+    for ent in order:
+        ex, ey, _ = ent.pose
+        hx, hy, dz = ent.dims[0] / 2.0, ent.dims[1] / 2.0, ent.dims[2]
+        b0, b1 = (ey - hy) - py, (ey + hy) - py
+        c0, c1 = 0.0 - pz, dz - pz
+        b_terms = ((b0 * f1, b0 * r1, b0 * d1), (b1 * f1, b1 * r1, b1 * d1))
+        c_terms = ((c0 * f2, c0 * r2, c0 * d2), (c1 * f2, c1 * r2, c1 * d2))
+        # Shared partial sums; corner (a, b, c) on axis v is (a*v0 + b*v1) + c*v2.
+        us, vs, shown = [], [], False
+        for a in ((ex - hx) - px, (ex + hx) - px):
+            fa, ra, da = a * f0, a * r0, a * d0
+            for fb, rb, db in b_terms:
+                fab, rab, dab = fa + fb, ra + rb, da + db
+                for fc, rc, dc in c_terms:
+                    zc = fab + fc
+                    if zc > near:
+                        shown = True
+                    else:
+                        zc = near
+                    us.append(cx + fx * (rab + rc) / zc)
+                    vs.append(cy_px + fx * (dab + dc) / zc)
         if not shown:
             continue
-        u0, u1 = max(int(u0), 0), min(int(u1), w)
-        v0, v1 = max(int(v0), 0), min(int(v1), h)
+        # Round both edges so the filled area is unbiased wrt the exact box.
+        u0, u1 = max(round(min(us)), 0), min(round(max(us)), w)
+        v0, v1 = max(round(min(vs)), 0), min(round(max(vs)), h)
         if u0 < u1 and v0 < v1:
             pixels[v0:v1, 3 * u0:3 * u1] = _row(COLOR_RGB[ent.color], w)[:3 * (u1 - u0)]
 

@@ -280,6 +280,13 @@ def step_reference(sim, a):
     return sim.outcome()
 
 
+def _dot3(rel: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of ``rel`` dotted with ``v`` as ``(a*v0 + b*v1) + c*v2``:
+    plain elementwise products and sums, no BLAS kernel to choose a
+    summation order or fuse a multiply-add."""
+    return (rel[:, 0] * v[0] + rel[:, 1] * v[1]) + rel[:, 2] * v[2]
+
+
 def render_reference(state, intrinsics: CameraConfig | None = None) -> np.ndarray:
     """First-person raster with one pinhole projection per entity, far first."""
     cam = intrinsics or CameraConfig()
@@ -318,12 +325,12 @@ def render_reference(state, intrinsics: CameraConfig | None = None) -> np.ndarra
             for sx in (-1, 1) for sy_ in (-1, 1) for z in (0.0, dz)
         ])
         rel = corners - cam_pos
-        zc = rel @ forward
+        zc = _dot3(rel, forward)
         if (zc <= cam.near_plane).all():
             continue
         zc = np.maximum(zc, cam.near_plane)
-        u = cx + fx * (rel @ right) / zc
-        v = cy_px + fx * (rel @ down) / zc
+        u = cx + fx * _dot3(rel, right) / zc
+        v = cy_px + fx * _dot3(rel, down) / zc
         u0, u1 = int(round(u.min())), int(round(u.max()))
         v0, v1 = int(round(v.min())), int(round(v.max()))
         u0, u1 = max(u0, 0), min(u1, w)

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -281,6 +283,47 @@ def test_config_round_trip_is_exact(tmp_path):
                                            rates=RateConfig(f_high=100.0)))
     save_config(cfg, tmp_path / "cfg.json")
     assert load_config(tmp_path / "cfg.json") == cfg
+
+
+# Runs the CLI, then reports whether the process still has a child (a
+# writer or pool process that was not reaped), and exits with its status.
+INTERRUPTED_CLI = """
+import os, sys
+from quadkit.cli import main
+code = main(sys.argv[1:])
+try:
+    os.waitpid(-1, os.WNOHANG)
+    print("child left")
+except ChildProcessError:
+    print("no child left")
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_an_interrupted_collect_exits_130_without_a_traceback(tmp_path, workers):
+    store = tmp_path / "store"
+    env = dict(os.environ, PYTHONPATH=str(Path(quadkit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_CLI, "collect", "--out", str(store),
+         "--seed", "7", "--workers", workers],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        # A temporary shard file means a shard writer and its child are running.
+        while not list(store.glob("shards/*.rec.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)  # the whole group, as Ctrl-C does
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err, out) == (130, "interrupted\n", "no child left\n")
+    assert not list(store.rglob("*.tmp"))  # every writer finished and cleaned up
 
 
 def test_verbose_adds_a_traceback_to_operational_errors(tmp_path, capsys):

@@ -1,10 +1,15 @@
 """First-person rendering: determinism, projection geometry, PPM codec."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quadkit
 from quadkit.config import CameraConfig
 from quadkit.taxonomy import Color
 from quadkit.world.camera import (
@@ -19,6 +24,19 @@ from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.state import BodyState, WorldState
 
 from oracles import render_reference
+
+
+def fma_edge_state() -> WorldState:
+    """A frame whose projection fused multiply-adds round differently: with
+    numpy's matrix products, OpenBLAS's Haswell kernel drew it with other
+    bytes than its Sandybridge and Prescott kernels."""
+    cube = Entity(EntityKind.OBSTACLE, "cube", Color.RED,
+                  (2.016068585547879, -0.37848503804443845, 0.0), (0.3, 0.3, 0.3))
+    return WorldState(robot_pose=(0.0, 0.0, -0.33934799122487314),
+                      body=BodyState(phi=0.18797016528645305), entities=[cube])
+
+
+FMA_EDGE_SHA256 = "3b927adcc71050bb4c4df4fcb1ea3ec8e92f6afb14b6c56d2cfdbba00e692940"
 
 
 def cube_at(x: float, size: float = 0.6, color: Color = Color.RED) -> Entity:
@@ -180,6 +198,8 @@ def test_render_edge_cases_match_the_reference():
             state = WorldState(robot_pose=pose, entities=entities)
             assert (render_observation(state).image.tobytes()
                     == render_reference(state).tobytes())
+    state = fma_edge_state()
+    assert render_observation(state).image.tobytes() == render_reference(state).tobytes()
     # A near face at depth fx, 0.5 m right of the axis, has its right edge at
     # exactly u = w/2 + 0.5: both round it half to even, to an empty box.
     cam = CameraConfig(forward_offset=0.0)
@@ -190,3 +210,29 @@ def test_render_edge_cases_match_the_reference():
     image = render_observation(state, cam).image
     assert image.tobytes() == render_reference(state, cam).tobytes()
     assert count_color(image, Color.ORANGE) == 0
+
+
+def _uses_openblas() -> bool:
+    config = getattr(np.__config__, "CONFIG", {})
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _uses_openblas(), reason="numpy does not use OpenBLAS")
+def test_frame_bytes_do_not_depend_on_the_blas_kernel():
+    # Each core type in its own interpreter: OpenBLAS reads the variable once.
+    probe = ("import hashlib, test_render; from quadkit.world.camera import render_observation; "
+             "print(hashlib.sha256(render_observation(test_render.fma_edge_state())"
+             ".image.tobytes()).hexdigest())")
+    path = os.pathsep.join([str(Path(quadkit.__file__).resolve().parents[1]),
+                            str(Path(__file__).resolve().parent)])
+    digests = {}
+    for coretype in (None, "Sandybridge", "Prescott"):
+        env = dict(os.environ, PYTHONPATH=path)
+        env.pop("OPENBLAS_CORETYPE", None)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                             text=True, timeout=120, check=True)
+        digests[coretype] = out.stdout.strip()
+    assert digests == dict.fromkeys(digests, FMA_EDGE_SHA256)
