@@ -5,8 +5,10 @@ import-real, validate. Reads an optional run config from --config or the
 QUARD_CONFIG environment variable. Exit codes: 0 on success, 1 on an
 operational failure (bad store, no path, malformed input; -v adds its
 traceback), 2 on usage errors (argparse handles those), 130 on an interrupt
-(SIGINT), which prints one line and no traceback. All logs go to stderr;
-result tables go to stdout.
+(SIGINT), which prints one line and no traceback. collect and import-real
+write shards through ``EpisodeStore.fill_shard``, which takes the interrupt
+only between episodes, so neither leaves a writer process or a temporary
+shard behind. All logs go to stderr; result tables go to stdout.
 """
 
 from __future__ import annotations
@@ -91,24 +93,13 @@ def _desk_plan() -> list[tuple[str, int, str]]:
 
 
 def _collect_shard(root: str, shard: str, jobs: list, run: RunConfig) -> dict:
-    """Worker: generate one shard's episodes and write them (no commit).
-
-    SIGINT is held while the shard is open and taken between episodes, so an
-    interrupt always leaves through the writer's clean-up: its image writer
-    reaped, its temporary shard file removed.
-    """
+    """Worker: generate one shard's episodes and write them (no commit);
+    :meth:`EpisodeStore.fill_shard` takes an interrupt only between episodes."""
     store = EpisodeStore.open(root)
     space = store.action_space
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-    try:
-        with store.shard_writer(shard) as writer:
-            for task, seed, source in jobs:
-                if signal.SIGINT in signal.sigpending():
-                    raise KeyboardInterrupt
-                writer.add(generate_episode(task, seed, run, space, source=source))
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a pending SIGINT is taken here
-    return asdict(writer.info)
+    episodes = (generate_episode(task, seed, run, space, source=source)
+                for task, seed, source in jobs)
+    return asdict(store.fill_shard(shard, episodes))
 
 
 def cmd_collect(args) -> int:

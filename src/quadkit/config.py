@@ -217,16 +217,6 @@ class RunConfig:
     expert: ExpertConfig = field(default_factory=ExpertConfig)
 
 
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, tuple):
-        return list(obj)
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    return obj
-
-
 def _value(value, default, path: str):
     """``value`` from JSON, checked against the type of ``default``.
 
@@ -273,7 +263,7 @@ def _build(cls, data, path: str = ""):
 
 
 def save_config(cfg: RunConfig, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(_to_jsonable(cfg), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(dataclasses.asdict(cfg), indent=2, sort_keys=True) + "\n")
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -115,7 +115,7 @@ class PathTracker:
 
     # -- per-skill behaviors ------------------------------------------------------
 
-    def _track_path(self, state: WorldState, phi: float = 0.0) -> ActionCommand:
+    def _track_path(self, state: WorldState) -> ActionCommand:
         x, y, yaw = state.robot_pose
         dt = self.sim.rates.tick_dt
         lx, ly = self._lookahead_point(x, y)
@@ -128,7 +128,7 @@ class PathTracker:
         v *= max(0.0, math.cos(err)) ** 2
         if abs(err) > self.expert.heading_gate:
             v = 0.0
-        return self._base_command(v, omega, phi)
+        return self._base_command(v, omega)
 
     def _face_target(self, state: WorldState, phi: float = 0.0) -> ActionCommand:
         """Turn in place toward the target entity."""

@@ -19,7 +19,9 @@ next commit and no lock file is left in the store.
 Each shard writer forks one child that creates the observation files, so
 the kernel's file-creation work overlaps the episode loop. A shard file
 appears under its name only after the child has written every image it
-refers to.
+refers to. ``EpisodeStore.fill_shard`` holds SIGINT from before that fork
+until the shard is closed, and takes it only between episodes, so an
+interrupt discards the shard and reaps the child.
 """
 
 from __future__ import annotations
@@ -410,15 +412,30 @@ class EpisodeStore:
 
     # -- writing -----------------------------------------------------------------
 
-    def shard_writer(self, name: str) -> ShardWriter:
-        return ShardWriter(self, name)
+    def fill_shard(self, name: str, episodes: Iterable[Episode]) -> ShardInfo:
+        """Write ``episodes`` into the new shard ``name``; commits nothing.
+
+        SIGINT is held while the shard is open and raised as
+        ``KeyboardInterrupt`` only before each episode and after the last,
+        which discards the shard; a SIGINT still pending is delivered when
+        the caller's signal mask is restored."""
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with ShardWriter(self, name) as writer:
+                for ep in episodes:
+                    if signal.SIGINT in signal.sigpending():
+                        raise KeyboardInterrupt
+                    writer.add(ep)
+                if signal.SIGINT in signal.sigpending():
+                    raise KeyboardInterrupt
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return writer.info
 
     def write_shard(self, name: str, episodes: Iterable[Episode]) -> ShardInfo:
-        with self.shard_writer(name) as writer:
-            for ep in episodes:
-                writer.add(ep)
-        self.commit_shards([writer.info])
-        return writer.info
+        info = self.fill_shard(name, episodes)
+        self.commit_shards([info])
+        return info
 
     def commit_shards(self, infos: Iterable[ShardInfo]) -> None:
         """Record finished shards in the manifest (lock-serialized)."""

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, determinism, artifacts, config plumbing."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,9 +12,12 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quadkit
+from quadkit import cli
+from quadkit.actions import default_action_space
 from quadkit.cli import _desk_plan, main
 from quadkit.config import (
     FULL_SCALE_PLAN,
@@ -23,8 +27,9 @@ from quadkit.config import (
     load_config,
     save_config,
 )
+from quadkit.roster import build_task_roster
 from quadkit.store import EpisodeStore
-from quadkit.taxonomy import Split
+from quadkit.taxonomy import Skill, Split
 
 from test_import import good_episode
 from test_store import store_with_edited_record
@@ -278,6 +283,12 @@ def test_bad_slew_rate_is_a_usage_error(tmp_path, capsys, rate):
     assert not (tmp_path / "store").exists()
 
 
+def test_default_config_file_bytes_are_pinned(tmp_path):
+    save_config(RunConfig(), tmp_path / "cfg.json")
+    digest = hashlib.sha256((tmp_path / "cfg.json").read_bytes()).hexdigest()
+    assert digest == "7b14bfa809d28aad4adb48f6abc68c98aff64e0870445979b590ab404f59e39d"
+
+
 def test_config_round_trip_is_exact(tmp_path):
     cfg = replace(RunConfig(), sim=replace(RunConfig().sim, max_ticks=7,
                                            rates=RateConfig(f_high=100.0)))
@@ -324,6 +335,55 @@ def test_an_interrupted_collect_exits_130_without_a_traceback(tmp_path, workers)
             proc.wait()
     assert (proc.returncode, err, out) == (130, "interrupted\n", "no child left\n")
     assert not list(store.rglob("*.tmp"))  # every writer finished and cleaned up
+
+
+def test_an_interrupted_import_real_exits_130_without_a_traceback(tmp_path):
+    # 1800 distinct frames keep the shard open while its child writes them.
+    src, store = tmp_path / "src", tmp_path / "store"
+    for i in range(60):
+        good_episode(src / f"run-{i:02d}", n=30, frame_seed=30 * i)
+    env = dict(os.environ, PYTHONPATH=str(Path(quadkit.__file__).resolve().parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", INTERRUPTED_CLI, "import-real", "--src", str(src),
+         "--store", str(store)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not list(store.glob("shards/*.rec.tmp")):
+            assert proc.poll() is None and time.monotonic() < deadline
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+    assert (proc.returncode, err, out) == (130, "interrupted\n", "no child left\n")
+    assert not list(store.rglob("*.tmp"))
+
+
+def test_collect_shard_writes_one_uncommitted_shard(tmp_path, monkeypatch):
+    # perfbench times quadkit.cli.generate_episode and commits the dicts
+    # that _collect_shard returns, so both are part of its contract.
+    root = tmp_path / "store"
+    EpisodeStore.create(root, default_action_space())
+    jobs = [(task, 11 + i, "sim") for i, task in
+            enumerate(build_task_roster(Skill.GO_TO, 2, np.random.default_rng(0)))]
+    calls = []
+    generate = cli.generate_episode
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "generate_episode", counted)
+    info = cli._collect_shard(str(root), "go_to-sim-0000", jobs, RunConfig())
+    assert isinstance(info, dict) and sorted(info) == ["episodes", "name", "sha256"]
+    assert EpisodeStore.open(root).shards == []
+    assert (root / "shards" / "go_to-sim-0000.rec").exists()
+    assert calls == [11, 12]
 
 
 def test_verbose_adds_a_traceback_to_operational_errors(tmp_path, capsys):

@@ -22,6 +22,8 @@ from quadkit.store import (
     stats_svg,
     stats_table,
 )
+from quadkit.store import episodes
+from quadkit.store.episodes import ShardWriter
 from quadkit.taxonomy import Color, GaitName, ObjectRef, Skill, SpeedLevel, TaskSpec
 from quadkit.world.camera import to_ppm
 
@@ -302,7 +304,7 @@ def assert_no_child_left():
 def test_an_exception_leaves_no_shard_file_and_the_name_free(tmp_path):
     store = EpisodeStore.create(tmp_path / "s", SPACE)
     with pytest.raises(KeyError):
-        with store.shard_writer("a") as writer:
+        with ShardWriter(store, "a") as writer:
             writer.add(make_episode(0, image_seed=7))
             raise KeyError("stop")
     assert list((tmp_path / "s" / "shards").iterdir()) == []
@@ -321,7 +323,7 @@ def test_a_stale_temporary_shard_file_is_overwritten(tmp_path):
 
 def test_two_open_writers_in_one_process_both_close(tmp_path):
     store = EpisodeStore.create(tmp_path / "s", SPACE)
-    first, second = store.shard_writer("a"), store.shard_writer("b")
+    first, second = ShardWriter(store, "a"), ShardWriter(store, "b")
     first.add(make_episode(0))
     second.add(make_episode(1))
     # The first child sees the end of its input only if the second child
@@ -340,6 +342,52 @@ def test_two_open_writers_in_one_process_both_close(tmp_path):
     assert_no_child_left()
 
 
+def sigint_blocked(pid: int) -> bool:
+    for line in Path(f"/proc/{pid}/status").read_text().splitlines():
+        if line.startswith("SigBlk:"):
+            return bool(int(line.split()[1], 16) >> (signal.SIGINT - 1) & 1)
+    raise AssertionError(f"no SigBlk line for process {pid}")
+
+
+@pytest.mark.parametrize("at", [1, 3, 4], ids=["middle-episode", "last-episode", "after-the-last"])
+def test_a_sigint_while_filling_a_shard_discards_it(tmp_path, monkeypatch, at):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    children = []
+    fork_writer = episodes._ImageWriter.__init__
+
+    def recorded(self, obs):
+        fork_writer(self, obs)
+        children.append(self.pid)
+
+    monkeypatch.setattr(episodes._ImageWriter, "__init__", recorded)
+    has_proc = Path("/proc/self/status").exists()
+    child_blocked = []
+
+    def interrupt():
+        if has_proc:
+            child_blocked.append(sigint_blocked(children[0]))
+        os.kill(os.getpid(), signal.SIGINT)
+
+    def interrupting():
+        for i in range(4):
+            if i == at:
+                interrupt()
+            yield make_episode(i, image_seed=7)
+        if at == 4:
+            interrupt()
+
+    with pytest.raises(KeyboardInterrupt):
+        store.fill_shard("a", interrupting())
+    assert list((tmp_path / "s" / "shards").iterdir()) == []
+    assert_no_child_left()
+    assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, [])
+    assert store.shards == []
+    if has_proc:
+        # The writer child is forked with SIGINT held, so no SIGINT reaches
+        # it before it ignores the signal.
+        assert child_blocked == [True]
+
+
 @pytest.mark.parametrize("shape", [(6, 8, 3), (240, 320, 3)], ids=["at-close", "while-adding"])
 def test_a_failed_image_write_raises_the_childs_error(tmp_path, shape):
     # Large images fill the pipe after the child stopped, so the parent's own
@@ -353,7 +401,7 @@ def test_a_failed_image_write_raises_the_childs_error(tmp_path, shape):
     sha = hashlib.sha256(to_ppm(eps[0].steps[0].image)).hexdigest()
     (root / "obs" / sha[:2]).write_bytes(b"a file where a folder belongs")
     with pytest.raises(StoreError, match="image writer failed: NotADirectoryError"):
-        with store.shard_writer("a") as writer:
+        with ShardWriter(store, "a") as writer:
             for ep in eps:
                 writer.add(ep)
     assert list((root / "shards").iterdir()) == []
