@@ -69,6 +69,12 @@ class ActionSpaceSpec:
             raise CodecError(
                 f"token_offset + bin_count must be <= {MAX_TOKEN_VOCAB}"
             )
+        # What the scalar codec reads of each dimension, computed once:
+        # (name, min, max, bin width, wraps mod 1).
+        object.__setattr__(self, "_codec", tuple(
+            (d.name, d.min, d.max, (d.max - d.min) / self.bin_count, d.name in THETA_NAMES)
+            for d in self.dimensions
+        ))
 
     @property
     def mins(self) -> np.ndarray:
@@ -138,7 +144,7 @@ class ActionCommand:
 
     @staticmethod
     def from_continuous(values, terminate: bool = False) -> "ActionCommand":
-        values = tuple(float(v) for v in values)
+        values = tuple(map(float, values))
         if len(values) != NUM_CONTINUOUS:
             raise CodecError(f"expected {NUM_CONTINUOUS} continuous values, got {len(values)}")
         return ActionCommand(*values, terminate=bool(terminate))
@@ -158,6 +164,8 @@ class ActionTokens:
 
 
 def _check_finite(values, context: str) -> None:
+    if all(map(math.isfinite, values)):
+        return
     for name, v in zip(DIMENSION_NAMES, values):
         if not math.isfinite(v):
             raise CodecError(f"{context}: non-finite value {v!r} for dimension {name!r}")
@@ -168,28 +176,27 @@ def tokenize(a: ActionCommand, spec: ActionSpaceSpec) -> ActionTokens:
     first/last bin."""
     values = a.continuous()
     _check_finite(values, "tokenize")
+    offset, last = spec.token_offset, spec.bin_count - 1
     toks = []
-    for dim, v in zip(spec.dimensions, values):
-        width = (dim.max - dim.min) / spec.bin_count
-        k = math.floor((v - dim.min) / width)
-        k = min(max(k, 0), spec.bin_count - 1)
-        toks.append(spec.token_offset + k)
-    toks.append(spec.token_offset + (1 if a.terminate else 0))
+    for (_, lo, _, width, _), v in zip(spec._codec, values):
+        k = math.floor((v - lo) / width)
+        toks.append(offset + (0 if k < 0 else last if k > last else k))
+    toks.append(offset + (1 if a.terminate else 0))
     return ActionTokens(tuple(toks))
 
 
 def detokenize(tok: ActionTokens, spec: ActionSpaceSpec) -> ActionCommand:
     """Map tokens back to the bin-center command."""
+    offset, count = spec.token_offset, spec.bin_count
     values = []
-    for dim, t in zip(spec.dimensions, tok.tokens[:NUM_CONTINUOUS]):
-        k = t - spec.token_offset
-        if not 0 <= k < spec.bin_count:
+    for (name, lo, _, width, _), t in zip(spec._codec, tok.tokens[:NUM_CONTINUOUS]):
+        k = t - offset
+        if not 0 <= k < count:
             raise CodecError(
-                f"detokenize: token {t} out of range for dimension {dim.name!r}"
+                f"detokenize: token {t} out of range for dimension {name!r}"
             )
-        width = (dim.max - dim.min) / spec.bin_count
-        values.append(dim.min + (k + 0.5) * width)
-    t_term = tok.tokens[NUM_CONTINUOUS] - spec.token_offset
+        values.append(lo + (k + 0.5) * width)
+    t_term = tok.tokens[NUM_CONTINUOUS] - offset
     if t_term not in (0, 1):
         raise CodecError(
             f"detokenize: token {tok.tokens[NUM_CONTINUOUS]} out of range for dimension 'terminate'"
@@ -199,13 +206,14 @@ def detokenize(tok: ActionTokens, spec: ActionSpaceSpec) -> ActionCommand:
 
 def clamp_to_space(a: ActionCommand, spec: ActionSpaceSpec) -> ActionCommand:
     """Clamp every continuous value into its range; gait phases wrap mod 1 first."""
-    values = list(a.continuous())
+    values = a.continuous()
     _check_finite(values, "clamp_to_space")
-    for i, (dim, v) in enumerate(zip(spec.dimensions, values)):
-        if dim.name in THETA_NAMES:
+    clamped = []
+    for (_, lo, hi, _, wraps), v in zip(spec._codec, values):
+        if wraps:
             v = v - math.floor(v)
-        values[i] = min(max(v, dim.min), dim.max)
-    return ActionCommand.from_continuous(values, terminate=a.terminate)
+        clamped.append(lo if v < lo else hi if v > hi else v)
+    return ActionCommand.from_continuous(clamped, terminate=a.terminate)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 A suite is a fixed list of (task, scene seed, template) entries, built
 deterministically from per-task budgets. The harness rolls each entry in the
 simulator: it binds the policy to the episode's simulator (a hook only the
-privileged oracle reads), then feeds it rendered observations and the
+privileged oracle reads), then gives it each tick's camera frame and the
 instruction text and executes its detokenized commands until the simulator
 reaches a terminal status, the policy raises its terminate token, or the
-policy misbehaves. Every episode lands in exactly one outcome bucket:
+policy misbehaves. A frame is rendered the first time the policy reads its
+``image`` and at most once, so the oracle and the random policy, which never
+look, cost no render. Every episode lands in exactly one outcome bucket:
 
     success       simulator reported the task criterion met
     collision     hit geometry or left the arena
@@ -14,7 +16,8 @@ policy misbehaves. Every episode lands in exactly one outcome bucket:
     wrong_target  policy terminated without success
     malformed     policy emitted undecodable tokens or raised
 
-so bucket counts always sum to the suite budget.
+so bucket counts always sum to the suite budget. A render that raises is a
+fault of the harness, not of the policy: it aborts the suite.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from ..actions import ActionSpaceSpec, CodecError, default_action_space, detokenize
-from ..config import RunConfig
+from ..config import CameraConfig, RunConfig
 from ..language import canonical_template_id, paraphrase_ids, render_instruction
 from ..roster import build_task_roster
 from ..store.episodes import Episode
@@ -36,7 +39,7 @@ from ..store.mixing import MixPolicy, mix_stream
 from ..taxonomy import SEEN_COLORS, Skill, Split, TaskSpec, unseen_variant
 from ..world.camera import render_observation
 from ..world.sim import Simulator
-from ..world.state import Status
+from ..world.state import Status, WorldState
 from .policies import Policy
 from ..expert.scenes import sample_scene
 
@@ -171,6 +174,33 @@ class EvalReport:
         return buf.getvalue()
 
 
+class _Frame:
+    """One tick's observation, rendered when ``image`` is first read.
+
+    The simulator replaces its state on every step, so the frame shows its
+    own tick whenever it is read. A render error is kept in ``error``.
+    """
+
+    __slots__ = ("_state", "_camera", "_image", "error")
+
+    def __init__(self, state: WorldState, camera: CameraConfig):
+        self._state, self._camera = state, camera
+        self._image: np.ndarray | None = None
+        self.error: Exception | None = None
+
+    @property
+    def image(self) -> np.ndarray:
+        if self._image is None:
+            if self.error is not None:
+                raise self.error
+            try:
+                self._image = render_observation(self._state, self._camera).image
+            except Exception as exc:
+                self.error = exc
+                raise
+        return self._image
+
+
 def _roll_entry(policy: Policy, entry: EvalEntry, run: RunConfig,
                 space: ActionSpaceSpec) -> str:
     sim = Simulator(sample_scene(entry.task, entry.seed, run.scene), run.sim)
@@ -179,14 +209,17 @@ def _roll_entry(policy: Policy, entry: EvalEntry, run: RunConfig,
     while True:
         if sim.done:
             return _STATUS_BUCKET[sim.status]
-        obs = render_observation(sim.state, run.sim.camera)
+        obs = _Frame(sim.state, run.sim.camera)
         try:
             tokens = policy.act(obs, text)
             cmd = detokenize(tokens, space)
-        except Exception as exc:  # a broken policy must not abort the suite
-            log.warning("malformed action from policy on %s: %s",
-                        entry.task.skill.value, exc)
-            return "malformed"
+        except Exception as exc:
+            if obs.error is None:  # a broken policy must not abort the suite
+                log.warning("malformed action from policy on %s: %s",
+                            entry.task.skill.value, exc)
+                return "malformed"
+        if obs.error is not None:
+            raise obs.error  # even if the policy caught it
         if cmd.terminate:
             # Terminating while the task is unmet is stopping at the wrong place.
             return "wrong_target"

@@ -2,6 +2,8 @@
 nearest-neighbor imitator.
 
 Policies consume an observation plus instruction text and emit action tokens.
+The harness renders an observation's ``image`` when a policy first reads it,
+so a policy that never reads it costs no render.
 The harness calls ``bind(sim)`` on every policy before each episode; only the
 oracle reads the live simulator there (it is the privileged reference, not a
 learned model), and the other policies ignore it. The nearest-neighbor

@@ -6,7 +6,10 @@ resolution, diagonal steps cost resolution * sqrt(2), and a diagonal move is
 legal only when both adjacent cardinal cells are free (no corner cutting).
 ``search_space`` is the contract's only encoding; A* here and D* Lite in
 :mod:`.dstar_lite` both search it. The octile heuristic is consistent under
-this contract, so returned costs are optimal.
+this contract, so returned costs are optimal. ``plan_astar`` computes it for
+a cell when the cell is pushed, so a plan pays only for the cells it reaches
+(a few hundred of a scene grid's twenty thousand); equal keys pop in push
+order, and pushes follow ``NEIGHBOR_OFFSETS``.
 
 Straight-segment rule: ``smooth_path`` of an A* path first tests line of sight
 between its end waypoints, which are the snapped start and goal cell centres
@@ -115,41 +118,46 @@ def plan_astar(grid: OccupancyGrid, start_xy: tuple[float, float],
     start, goal = _endpoints(grid, start_xy, goal_xy, snap)
     res = grid.resolution
     free, width, moves = search_space(grid)
+    # A cardinal move's sides are its own target: mark them 0, test nothing.
+    moves = tuple((offset, step, side_a, side_b) if side_a != offset else (offset, step, 0, 0)
+                  for offset, step, side_a, side_b in moves)
+    goal_x, goal_y = goal[0] + 1, goal[1] + 1
     src = (start[1] + 1) * width + start[0] + 1
-    dst = (goal[1] + 1) * width + goal[0] + 1
-    # Octile heuristic of every padded cell.
-    dist_x = np.abs(np.arange(-1, width - 1) - goal[0])
-    dist_y = np.abs(np.arange(-1, grid.ny + 1) - goal[1])[:, None]
-    h = (res * (np.maximum(dist_x, dist_y)
-                + (SQRT2 - 1.0) * np.minimum(dist_x, dist_y))).ravel().tolist()
+    dst = goal_y * width + goal_x
     g = [math.inf] * len(free)
     g[src] = 0.0
     parent: dict[int, int] = {}
-    closed = bytearray(len(free))
+    # Free and not yet closed: the one byte a move's target must have set.
+    open_cells = bytearray(free)
     counter = 0
-    open_heap = [(h[src], counter, src)]
+    open_heap = [(0.0, counter, src)]  # popped first whatever its key
+    # Octile distance to the goal: res * (max + (sqrt2 - 1) * min).
+    diag_extra = SQRT2 - 1.0
     heappush, heappop = heapq.heappush, heapq.heappop
     while open_heap:
         cur = heappop(open_heap)[2]
-        if closed[cur]:
+        if not open_cells[cur]:
             continue
         if cur == dst:
             flat = [dst]
             while flat[-1] != src:
                 flat.append(parent[flat[-1]])
             return flat_path(grid, flat[::-1])
-        closed[cur] = 1
+        open_cells[cur] = 0
         g_cur = g[cur]
         for offset, step, side_a, side_b in moves:
             nxt = cur + offset
-            if closed[nxt] or not (free[nxt] and free[cur + side_a] and free[cur + side_b]):
+            if not open_cells[nxt] or side_a and not (free[cur + side_a] and free[cur + side_b]):
                 continue
             cand = g_cur + step
             if cand < g[nxt] - 1e-12:
                 g[nxt] = cand
                 parent[nxt] = cur
                 counter += 1
-                heappush(open_heap, (cand + h[nxt], counter, nxt))
+                y, x = divmod(nxt, width)
+                dx, dy = abs(x - goal_x), abs(y - goal_y)
+                h = res * (dx + diag_extra * dy) if dx > dy else res * (dy + diag_extra * dx)
+                heappush(open_heap, (cand + h, counter, nxt))
     raise NoPathError(f"goal unreachable: start={start} goal={goal}")
 
 

@@ -118,14 +118,19 @@ def import_real(src: str | Path, store_root: str | Path,
     space = store.action_space
 
     report = ImportReport()
-    episodes = []
     folders = sorted(p for p in src.iterdir() if p.is_dir())
-    for i, folder in enumerate(folders):
-        try:
-            episodes.append(_read_episode(folder, i, space))
+
+    def episodes():
+        # Read lazily: the shard holds each episode before the next is read.
+        for i, folder in enumerate(folders):
+            try:
+                episode = _read_episode(folder, i, space)
+            except _SkipEpisode as exc:
+                log.warning("skipping %s: %s", folder.name, exc)
+                report.skipped.append((folder.name, str(exc)))
+                continue
             report.imported += 1
-        except _SkipEpisode as exc:
-            log.warning("skipping %s: %s", folder.name, exc)
-            report.skipped.append((folder.name, str(exc)))
-    store.write_shard(shard_name, episodes)
+            yield episode
+
+    store.write_shard(shard_name, episodes())
     return report

@@ -133,6 +133,31 @@ def test_clamp_wraps_gait_phases_and_clips_the_rest():
     assert out.h_z == SPACE.dimensions[SPACE.index("h_z")].min
 
 
+def test_scalar_codec_matches_its_per_dimension_definition():
+    """Bit for bit, the per-dimension expressions the codec is defined by,
+    evaluated from the spec's ``DimensionSpec``s on every call."""
+    rng = np.random.default_rng(7)
+    space = default_action_space(bin_count=200, token_offset=17)
+    for _ in range(300):
+        values = [float(rng.uniform(d.min - 1.5, d.max + 1.5)) for d in space.dimensions]
+        cmd = ActionCommand.from_continuous(values, bool(rng.integers(0, 2)))
+        clamped = clamp_to_space(cmd, space)
+        expected = []
+        for dim, v in zip(space.dimensions, values):
+            if dim.name.startswith("theta_"):
+                v = v - math.floor(v)
+            expected.append(min(max(v, dim.min), dim.max))
+        assert [x.hex() for x in clamped.continuous()] == [x.hex() for x in expected]
+        tokens = tokenize(cmd, space).tokens
+        for dim, v, t in zip(space.dimensions, values, tokens):
+            k = math.floor((v - dim.min) / ((dim.max - dim.min) / space.bin_count))
+            assert t == 17 + min(max(k, 0), space.bin_count - 1)
+        decoded = detokenize(ActionTokens(tokens), space).continuous()
+        assert [x.hex() for x in decoded] == [
+            bin_center(dim, t - 17, space.bin_count).hex()
+            for dim, t in zip(space.dimensions, tokens)]
+
+
 def test_batch_codec_matches_scalar_codec():
     rng = np.random.default_rng(1)
     n = 500

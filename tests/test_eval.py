@@ -18,13 +18,14 @@ from quadkit.evaluation import (
     run_suite,
     scaling_experiment,
 )
-from quadkit.evaluation import policies
+from quadkit.evaluation import harness, policies
 from quadkit.evaluation.harness import BUCKETS
 from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
 from quadkit.expert import generate_episode
 from quadkit.language import LanguageError, render_instruction
 from quadkit.store import MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, Split
+from quadkit.world.camera import render_observation
 
 from oracles import block_mean_pool, knn_reference
 
@@ -100,6 +101,84 @@ def test_undecodable_tokens_and_exceptions_are_malformed():
     for policy in (EmitGarbage(), Crash()):
         report = run_suite(policy, suite)
         assert report.overall.buckets["malformed"] == report.overall.budget
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """The states ``harness.render_observation`` is called with."""
+    states = []
+
+    def counted(state, camera):
+        states.append(state)
+        return render_observation(state, camera)
+
+    monkeypatch.setattr(harness, "render_observation", counted)
+    return states
+
+
+@pytest.mark.parametrize("policy", [OraclePolicy(), RandomPolicy(SPACE, seed=0)],
+                         ids=["oracle", "random"])
+def test_policies_that_never_read_the_image_cost_no_render(renders, policy):
+    report = run_suite(policy, small_suite(3))
+    assert report.overall.budget == sum(SMALL_BUDGETS.values())
+    assert renders == []
+
+
+class LookTwiceThenWalk:
+    """Reads the frame twice per tick and checks it against a fresh render
+    of the live state; terminates on the third tick."""
+
+    def __init__(self, camera):
+        self.camera = camera
+        self.ticks = 0
+
+    def bind(self, sim):
+        self.sim = sim
+
+    def act(self, obs, instruction):
+        first, second = obs.image, obs.image
+        assert second is first
+        expected = render_observation(self.sim.state, self.camera).image
+        assert first.tobytes() == expected.tobytes()
+        self.ticks += 1
+        lo = SPACE.token_offset
+        return ActionTokens(tuple([lo + 140] + [lo + 128] * 10
+                                  + [lo + int(self.ticks % 3 == 0)]))
+
+
+def test_a_frame_read_twice_renders_once_and_matches_the_live_state(renders):
+    policy = LookTwiceThenWalk(RunConfig().sim.camera)
+    report = run_suite(policy, small_suite(3))
+    assert report.overall.buckets["malformed"] == 0
+    assert policy.ticks >= report.overall.budget
+    assert len(renders) == policy.ticks
+    assert len({id(state) for state in renders}) == policy.ticks
+
+
+class ReadTheImage:
+    def __init__(self, swallow: bool):
+        self.swallow = swallow
+
+    def bind(self, sim):
+        pass
+
+    def act(self, obs, instruction):
+        try:
+            obs.image
+        except RuntimeError:
+            if not self.swallow:
+                raise
+        return ActionTokens(tuple([128] * 11 + [1]))
+
+
+@pytest.mark.parametrize("swallow", [False, True], ids=["raises", "swallows"])
+def test_a_render_error_aborts_the_suite_instead_of_being_malformed(monkeypatch, swallow):
+    def broken(state, camera):
+        raise RuntimeError("renderer broke")
+
+    monkeypatch.setattr(harness, "render_observation", broken)
+    with pytest.raises(RuntimeError, match="renderer broke"):
+        run_suite(ReadTheImage(swallow), small_suite(6))
 
 
 def test_report_serializations_cover_all_buckets():

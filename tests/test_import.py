@@ -7,6 +7,8 @@ import pytest
 
 from quadkit.actions import default_action_space
 from quadkit.store import EpisodeStore, StoreError, import_real
+from quadkit.store import importer
+from quadkit.store.episodes import ShardWriter
 from quadkit.taxonomy import Skill, Split
 from quadkit.world.camera import to_ppm
 
@@ -99,6 +101,33 @@ def test_episodes_breaking_the_success_rule_are_skipped(tmp_path):
     store = EpisodeStore.open(tmp_path / "store")
     assert [ep.episode_id for ep in store.iter_episodes()] == ["real-00-good"]
     assert store.validate() == []
+
+
+def test_each_episode_is_added_before_the_next_is_read(tmp_path, monkeypatch):
+    src = tmp_path / "src"
+    good_episode(src / "00-a", frame_seed=10)
+    write_episode(src / "01-bad", instruction="teleport to the moon", rows=[f"{GOOD_ROW},1"])
+    good_episode(src / "02-b", frame_seed=20)
+    good_episode(src / "03-c", frame_seed=30)
+    events = []
+    read, add = importer._read_episode, ShardWriter.add
+
+    def logged_read(folder, index, space):
+        events.append(("read", folder.name))
+        return read(folder, index, space)
+
+    def logged_add(self, ep):
+        events.append(("add", ep.episode_id))
+        add(self, ep)
+
+    monkeypatch.setattr(importer, "_read_episode", logged_read)
+    monkeypatch.setattr(ShardWriter, "add", logged_add)
+    report = import_real(src, tmp_path / "store")
+    assert events == [("read", "00-a"), ("add", "real-00-a"), ("read", "01-bad"),
+                      ("read", "02-b"), ("add", "real-02-b"),
+                      ("read", "03-c"), ("add", "real-03-c")]
+    assert report.imported == 3
+    assert [name for name, _ in report.skipped] == ["01-bad"]
 
 
 def test_out_of_range_commands_are_clamped_into_the_space(tmp_path):

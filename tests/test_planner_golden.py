@@ -4,7 +4,11 @@ The planner feeds both the demonstrations and the oracle, so any change to
 grid building, A* or smoothing must keep these bytes: a faster rewrite that
 returns different cells or costs would silently change collected data. The
 expert digest pins ``plan_for_task`` itself, straight-segment shortcut
-included. The D* Lite digest pins whole incremental sessions (edits, start
+included. The raw A* digest pins ``plan_astar`` before smoothing, which keeps
+only the end waypoints of a straight plan: every cell, waypoint and cost bit,
+and each ``NoPathError`` message, on the pinned scenes and on open random
+grids where many paths tie at the optimal cost, so a changed tie-break shows.
+The D* Lite digest pins whole incremental sessions (edits, start
 moves, and endpoints inside, outside or on blocked cells) down to the cells,
 the cost bits and each ``NoPathError`` message, and every ``plan()`` in
 those sessions must agree with a fresh A* on its outcome and cost bits.
@@ -30,6 +34,9 @@ GRID_DIGEST = "143034b0d28621778a8d88e404e23733bae083449b3d44d329b1c7692aab7fa5"
 PATH_DIGEST = "1d4e29d761970d74d4f5b5688a51f0ac36ff632c27dcdd8970024ca493525b23"
 DSTAR_DIGEST = "6192fc3386d831bb9d2f7d922323a91509f64f061ca6ee0f40693be93d212b88"
 EXPERT_DIGEST = "dd24e476e34e0fadd0f9966bc325139f772631d6acc614a3888a0f6bbc5cb587"
+RAW_ASTAR_DIGEST = "6a3702d4b0fbd54988c9b3e85dfd379161b51096ef7df4db4f33c4ce23894b05"
+RAW_ASTAR_SEED = 1968
+RAW_ASTAR_CASES = 200
 DSTAR_SEED = 6061
 DSTAR_SESSIONS = 80
 
@@ -45,15 +52,19 @@ def sampled_scenes():
             yield i, sample_scene(TaskSpec(skill, obj, SpeedLevel.NORMAL, GaitName.TROT), seed)
 
 
-def planner_digests() -> tuple[str, str]:
+def pinned_grids():
+    """``(scene, grid)`` for each pinned scene. Grids alternate the expert's
+    margin with the default one so two disk radii are pinned."""
     run = RunConfig()
-    grids, paths = hashlib.sha256(), hashlib.sha256()
     for i, scene in sampled_scenes():
-        # Alternate the expert's margin with the default one so two disk
-        # radii are pinned.
         inflation = run.sim.footprint_radius + run.expert.inflation_margin if i % 2 else None
-        grid = grid_from_scene(scene, run.sim, resolution=run.expert.grid_resolution,
-                               inflation=inflation)
+        yield scene, grid_from_scene(scene, run.sim, resolution=run.expert.grid_resolution,
+                                     inflation=inflation)
+
+
+def planner_digests() -> tuple[str, str]:
+    grids, paths = hashlib.sha256(), hashlib.sha256()
+    for scene, grid in pinned_grids():
         grids.update(np.packbits(grid.occupied).tobytes())
         try:
             path = smooth_path(grid, plan_astar(grid, scene.start_pose[:2], scene.goal_xy))
@@ -88,6 +99,38 @@ def expert_digest() -> str:
 
 def test_expert_plans_match_golden_digest():
     assert expert_digest() == EXPERT_DIGEST
+
+
+def raw_astar_digest() -> str:
+    """Raw ``plan_astar`` output on the pinned scenes, then on
+    ``RAW_ASTAR_CASES`` open random grids with snapped or unsnapped
+    endpoints that may be blocked or off the grid."""
+    digest = hashlib.sha256()
+
+    def record(grid, start_xy, goal_xy, snap=True):
+        try:
+            path = plan_astar(grid, start_xy, goal_xy, snap=snap)
+        except NoPathError as exc:
+            digest.update(f"no path: {exc};".encode())
+            return
+        digest.update(repr((path.waypoints, path.cells)).encode()
+                      + path.cost.hex().encode() + b";")
+
+    for scene, grid in pinned_grids():
+        record(grid, scene.start_pose[:2], scene.goal_xy)
+    rng = np.random.default_rng(RAW_ASTAR_SEED)
+    for _ in range(RAW_ASTAR_CASES):
+        nx, ny = int(rng.integers(4, 25)), int(rng.integers(4, 25))
+        grid = random_grid(rng, nx, ny, fill=float(rng.uniform(0.0, 0.2)))
+        start = _endpoint(rng, grid, (0, 0))
+        goal = _endpoint(rng, grid, (nx - 1, ny - 1))
+        record(grid, grid.cell_to_world(start), grid.cell_to_world(goal),
+               snap=bool(rng.integers(0, 2)))
+    return digest.hexdigest()
+
+
+def test_raw_astar_output_matches_golden_digest():
+    assert raw_astar_digest() == RAW_ASTAR_DIGEST
 
 
 def _endpoint(rng: np.random.Generator, grid, corner):
