@@ -174,11 +174,27 @@ def _suite_budgets(name_or_path: str) -> dict:
     if name_or_path in packaged:
         return packaged[name_or_path]
     path = Path(name_or_path)
-    if path.exists():
-        return json.loads(path.read_text())
-    raise UsageError(
-        f"unknown suite {name_or_path!r}; packaged suites: {sorted(packaged)}"
-    )
+    if not path.exists():
+        raise UsageError(
+            f"unknown suite {name_or_path!r}; packaged suites: {sorted(packaged)}"
+        )
+    try:
+        budgets = json.loads(path.read_text())
+    except ValueError as exc:
+        raise UsageError(f"bad suite file {path}: {exc}") from exc
+    if not isinstance(budgets, dict):
+        raise UsageError(f"bad suite file {path}: expected an object of skill budgets")
+    skills = sorted(s.value for s in Skill)
+    for name, count in budgets.items():
+        if name not in skills:
+            raise UsageError(f"bad suite file {path}: unknown skill {name!r}; "
+                             f"skills: {skills}")
+        if type(count) is not int or count < 0:
+            raise UsageError(f"bad suite file {path}: budget of {name!r} must be a "
+                             f"non-negative integer, got {count!r}")
+    if sum(budgets.values()) == 0:
+        raise UsageError(f"bad suite file {path}: budgets total 0 episodes")
+    return budgets
 
 
 def _build_policy(spec: str, run: RunConfig, space, seed: int, k: int):

@@ -129,6 +129,30 @@ def test_eval_accepts_budget_files_and_unseen_splits(tmp_path):
     assert "unseen_object" in out
 
 
+@pytest.mark.parametrize("text", [
+    '{"go_to": "2"}', '{"go_to": 1.5}', '{"go_to": true}', '{"go_to": -1}',
+    '{"go_to": 0}', '{}', '{"go_tu": 2}', '[["go_to", 2]]', '{"go_to": 2',
+], ids=["string", "float", "bool", "negative", "zero-total", "empty", "unknown-skill",
+        "not-an-object", "not-json"])
+def test_bad_suite_file_is_a_usage_error(tmp_path, capsys, text):
+    budgets = tmp_path / "budgets.json"
+    budgets.write_text(text)
+    code, out = run_cli("eval", "--policy", "oracle", "--suite", str(budgets))
+    assert code == 2
+    assert out == ""
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert "error:" in err[0] and str(budgets) in err[0]
+
+
+def test_a_zero_budget_beside_a_positive_one_is_accepted(tmp_path):
+    budgets = tmp_path / "budgets.json"
+    budgets.write_text(json.dumps({"go_to": 1, "crawl": 0}))
+    code, out = run_cli("eval", "--policy", "oracle", "--suite", str(budgets))
+    assert code == 0
+    assert "go_to" in out and "crawl" not in out
+
+
 def test_unknown_suite_and_policy_are_usage_errors(tmp_path):
     assert run_cli("eval", "--policy", "oracle", "--suite", "nope")[0] == 2
     assert run_cli("eval", "--policy", "telepathy", "--suite", "dev_small")[0] == 2

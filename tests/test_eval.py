@@ -1,6 +1,8 @@
 """Evaluation harness: suite construction, outcome bookkeeping, policy
 behavior, generalization suites, and the scaling experiment."""
 
+import json
+from importlib import resources
 from types import SimpleNamespace
 
 import numpy as np
@@ -22,7 +24,7 @@ from quadkit.evaluation import harness, policies
 from quadkit.evaluation.harness import BUCKETS
 from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
 from quadkit.expert import generate_episode
-from quadkit.language import LanguageError, render_instruction
+from quadkit.language import LanguageError, parse_instruction, render_instruction
 from quadkit.store import MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, Split
 from quadkit.world.camera import render_observation
@@ -276,6 +278,110 @@ def test_knn_parses_each_episodes_instruction_once(monkeypatch):
     policy.bind(None)  # a new episode parses again
     policy.act(obs, ep.instruction)
     assert parsed == [ep.instruction, "do a backflip", "do a backflip", ep.instruction]
+
+
+@pytest.fixture
+def knn(monkeypatch):
+    """A kNN policy fitted on two episodes, its training episodes, and the
+    images ``policies._featurize`` is called with after the fit."""
+    entries = small_suite(11).entries
+    eps = [generate_episode(e.task, e.seed) for e in (entries[0], entries[-1])]
+    policy = knn_bc_policy(eps, k=3)
+    images = []
+    featurize = policies._featurize
+
+    def counted(image, spec_features):
+        images.append(image)
+        return featurize(image, spec_features)
+
+    monkeypatch.setattr(policies, "_featurize", counted)
+    return policy, eps, images
+
+
+def test_knn_answers_a_repeated_frame_without_searching_again(knn):
+    policy, (ep, _), featurized = knn
+    obs = SimpleNamespace(image=ep.steps[1].image)
+    first = policy.act(obs, ep.instruction)
+    again = policy.act(SimpleNamespace(image=ep.steps[1].image.copy()), ep.instruction)
+    assert again == first
+    assert len(featurized) == 1
+
+
+def test_knn_searches_again_for_a_changed_pixel_shape_or_instruction(knn):
+    policy, (ep, other), featurized = knn
+    image = ep.steps[1].image
+    policy.act(SimpleNamespace(image=image), ep.instruction)
+    nudged = image.copy()
+    nudged[20, 30, 1] ^= 1
+    policy.act(SimpleNamespace(image=nudged), ep.instruction)
+    policy.act(SimpleNamespace(image=nudged), other.instruction)
+    reshaped = nudged.reshape(64, 48, 3)  # the same bytes, another frame
+    policy.act(SimpleNamespace(image=reshaped), other.instruction)
+    assert len(featurized) == 4
+    assert featurized[1] is nudged and featurized[3] is reshaped
+
+
+def test_knn_searches_again_after_the_caller_mutates_its_array(knn):
+    policy, (ep, other), featurized = knn
+    image = other.steps[0].image.copy()
+    policy.act(SimpleNamespace(image=image), ep.instruction)
+    image[...] = ep.steps[0].image  # same array object, new frame
+    after = policy.act(SimpleNamespace(image=image), ep.instruction)
+    assert len(featurized) == 2
+    fresh = knn_bc_policy([ep, other], k=3).act(SimpleNamespace(image=image.copy()),
+                                               ep.instruction)
+    assert after == fresh
+
+
+def test_knn_bind_forgets_the_previous_frame(knn):
+    policy, (ep, _), featurized = knn
+    obs = SimpleNamespace(image=ep.steps[0].image)
+    first = policy.act(obs, ep.instruction)
+    policy.bind(None)
+    assert policy.act(obs, ep.instruction) == first
+    assert len(featurized) == 2
+
+
+class CheckedKnn:
+    """Runs a kNN policy and records, per tick, whether its tokens equal the
+    reference vote on the same query and whether the frame repeats the
+    previous tick's. Records instead of asserting: the harness would bucket
+    an assertion raised inside ``act`` as malformed."""
+
+    def __init__(self, policy: KnnPolicy):
+        self.policy = policy
+        self.vocab = SPACE.token_offset + SPACE.bin_count
+        self.agree: list[bool] = []
+        self.repeats = 0
+        self.previous = None
+
+    def bind(self, sim):
+        self.previous = None
+        self.policy.bind(sim)
+
+    def act(self, obs, instruction):
+        tokens = self.policy.act(obs, instruction)
+        image = obs.image
+        spec = parse_instruction(instruction).spec
+        query = _featurize(image, _encode_spec(spec)).astype(np.float32)
+        self.agree.append(tokens.tokens == knn_reference(
+            self.policy.features, self.policy.labels, self.policy.k, query, self.vocab))
+        self.repeats += image.tobytes() == self.previous
+        self.previous = image.tobytes()
+        return tokens
+
+
+def test_knn_rollout_with_repeated_frames_matches_the_reference_vote():
+    budgets = json.loads(
+        resources.files("quadkit.data").joinpath("suites.json").read_text())["dev_small"]
+    suite = build_suite("dev_small", budgets, seed=3)
+    train = [generate_episode(e.task, e.seed)
+             for e in build_suite("train", budgets, seed=4).entries]
+    checked = CheckedKnn(knn_bc_policy(train, k=5))
+    report = run_suite(checked, suite)
+    assert report.overall.buckets["malformed"] == 0
+    assert checked.agree and all(checked.agree)
+    assert checked.repeats >= 1
 
 
 @pytest.mark.parametrize("shape", [(48, 64, 3), (50, 67, 3), (6, 8, 3), (13, 23, 3)])
