@@ -320,6 +320,20 @@ def cmd_validate(args) -> int:
 # -- parser ------------------------------------------------------------------------
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers of at least ``low``, so that a typo such
+    as ``--seed -1`` is a usage error before anything runs."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadkit",
@@ -335,10 +349,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="store directory")
     p.add_argument("--task", choices=[s.value for s in Skill],
                    help="single task (default: the scaled-down full plan)")
-    p.add_argument("--count", type=int, default=10, help="episodes for --task")
+    p.add_argument("--count", type=_int_at_least(0), default=10, help="episodes for --task")
     p.add_argument("--source", choices=["sim", "real"], default="sim")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("stats", help="dataset statistics for a store")
@@ -352,8 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="packaged suite name or budgets JSON path")
     p.add_argument("--split", choices=["seen", "unseen_object", "unseen_verbal"],
                    default="seen")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--knn-k", type=int, default=5)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
+    p.add_argument("--knn-k", type=_int_at_least(1), default=5)
     p.add_argument("--out", help="directory for report.csv")
     p.set_defaults(func=cmd_eval)
 

@@ -8,7 +8,9 @@ instruction text and executes its detokenized commands until the simulator
 reaches a terminal status, the policy raises its terminate token, or the
 policy misbehaves. A frame is rendered the first time the policy reads its
 ``image`` and at most once, so the oracle and the random policy, which never
-look, cost no render. Every episode lands in exactly one outcome bucket:
+look, cost no render. Tokens are decoded only when they differ from the
+previous tick's in the same episode; a repeat reuses that tick's command.
+Every episode lands in exactly one outcome bucket:
 
     success       simulator reported the task criterion met
     collision     hit geometry or left the arena
@@ -206,13 +208,16 @@ def _roll_entry(policy: Policy, entry: EvalEntry, run: RunConfig,
     sim = Simulator(sample_scene(entry.task, entry.seed, run.scene), run.sim)
     text = render_instruction(entry.task, entry.template_id).text
     policy.bind(sim)
+    last = None  # this episode's previous tokens; cmd is their command
     while True:
         if sim.done:
             return _STATUS_BUCKET[sim.status]
         obs = _Frame(sim.state, run.sim.camera)
         try:
             tokens = policy.act(obs, text)
-            cmd = detokenize(tokens, space)
+            if tokens != last:
+                cmd = detokenize(tokens, space)
+                last = tokens
         except Exception as exc:
             if obs.error is None:  # a broken policy must not abort the suite
                 log.warning("malformed action from policy on %s: %s",

@@ -190,7 +190,11 @@ class KnnPolicy:
         if self._last is not None and self._last[0] == key:
             return self._last[1]
         q = _featurize(image, self._spec_features(instruction)).astype(np.float32)
-        d2 = self._sq - 2.0 * (self.features @ q) + float(q @ q)
+        # self._sq - 2.0 * (features @ q) + q @ q, in the same order, in place.
+        d2 = self.features @ q
+        d2 *= 2.0
+        np.subtract(self._sq, d2, out=d2)
+        d2 += float(q @ q)
         kth = np.partition(d2, self.k - 1)[self.k - 1]
         cand = np.flatnonzero(d2 <= kth)
         nearest = cand[np.argsort(d2[cand], kind="stable")[: self.k]]

@@ -4,20 +4,27 @@
 it integrates a unicycle with lateral slip at the high rate (f_high/f_low
 substeps), while realized body parameters slew toward their commanded
 values. Collision and the bar/tunnel constraints are checked on every
-substep's pose and body, so a fast robot cannot step across a thin solid;
-task success and termination are judged once per tick, by
-:func:`check_success` on the scene's own task.
+substep's pose and body of a tick whose reach box meets the record, so a
+fast robot cannot step across a thin solid; task success and termination are
+judged once per tick, by :func:`check_success` on the scene's own task.
 
-The substep loop runs on local floats and builds one ``BodyState`` per tick.
-Collision geometry is checked against collision records: each solid, tunnel
-and bar entity becomes one tuple of the numbers its check needs, built once
-per entity list by :func:`_collision_records` and tested in list order by
+The substep loop runs on local floats. Collision geometry is checked against
+collision records: each solid, tunnel and bar entity becomes one tuple of the
+numbers its check needs, built once per entity list by
+:func:`_collision_records` and tested in list order by
 :func:`_first_violation`, the one collision kernel (:func:`check_collision`
-uses it too). Every float expression keeps its operand order and its
-``min``/``max`` argument order, so poses, bodies, statuses and violations
-are the same bits, signed zeros included, as integrating each substep into a
-fresh ``BodyState`` and walking every entity (``tests/oracles.py`` keeps
-that form as the reference).
+uses it too). Each record has a box (:func:`_reach_boxes`) outside which it
+can never be violated, and a tick checks only the records whose box meets
+the tick's reach box: the start pose grown by the farthest the command can
+move the robot in the tick, plus a rounding pad. A tick that reaches no
+record slews each body channel straight to its value after the tick, and a
+body already at its commanded values, bit for bit, is kept as it is.
+
+Every float expression keeps its operand order and its ``min``/``max``
+argument order, so poses, bodies, statuses and violations are the same bits,
+signed zeros included, as integrating each substep into a fresh
+``BodyState`` and walking every entity (``tests/oracles.py`` keeps that form
+as the reference).
 """
 
 from __future__ import annotations
@@ -42,24 +49,29 @@ def _wrap_angle(a: float) -> float:
     return (a + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def _slew_path(current: float, target: float, step: float, n: int) -> list[float]:
-    """The values of ``current`` after each of ``n`` substeps that move it
-    toward ``target`` by at most ``step`` (rate * dt).
+def _slew(current: float, target: float, step: float, n: int) -> float:
+    """The value of ``current`` after ``n`` substeps that move it toward
+    ``target`` by at most ``step`` (rate * dt).
 
     Once a substep leaves the value unchanged bit for bit (same value and
-    sign), every later substep would too, so the rest of the path repeats it.
+    sign), every later substep would too, so the loop stops there.
     """
-    path = []
-    while len(path) < n:
+    for _ in range(n):
         if target > current:
             moved = min(current + step, target)
         else:
             moved = max(current - step, target)
         if moved == current and math.copysign(1.0, moved) == math.copysign(1.0, current):
-            return path + [current] * (n - len(path))
-        path.append(moved)
+            break
         current = moved
-    return path
+    return current
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Whether two tuples of floats hold the same values with the same signs;
+    ``==`` alone does not tell -0.0 from 0.0."""
+    return a == b and (0.0 not in a or all(
+        math.copysign(1.0, u) == math.copysign(1.0, v) for u, v in zip(a, b)))
 
 
 # Collision record tags; the fields after (tag, ex, ey) depend on the tag.
@@ -96,6 +108,32 @@ def _collision_records(entities: list[Entity], r: float) -> list[tuple]:
             records.append((_BAR, ex, ey, dims[0] / 2.0 + r, dims[1] / 2.0,
                             attrs["clearance"]))
     return records
+
+
+def _reach_boxes(records: list[tuple], r: float) -> list[tuple[float, float, float, float]]:
+    """Per record, the box ``(x0, x1, y0, y1)`` outside which
+    :func:`_first_violation` never returns it: the footprint grown by ``r``
+    for solids, the depth band and outer width for tunnels, the bar's span."""
+    boxes = []
+    for rec in records:
+        tag, ex, ey = rec[0], rec[1], rec[2]
+        if tag == _ROUND:
+            hx = hy = rec[3] + r
+        elif tag == _BOX:
+            hx, hy = rec[3] + r, rec[4] + r
+        elif tag == _TUNNEL:
+            hx, hy = rec[5], rec[3]
+        else:  # _BAR
+            hx, hy = rec[3], rec[4]
+        boxes.append((ex - hx, ex + hx, ey - hy, ey + hy))
+    return boxes
+
+
+# Pad of a tick's reach box, relative to its coordinates: far above the
+# rounding of the substep sums and of the record checks (a few ulps per
+# substep) and far below any geometry, so at worst it keeps a record that
+# the tick cannot reach.
+_REACH_PAD = 1e-6
 
 
 def _first_violation(records: list[tuple], x: float, y: float, h_z: float,
@@ -210,14 +248,19 @@ class Simulator:
         self.state = scene.initial_state(self.config.standing_height)
         self.status = Status.RUNNING
         self.violation: str | None = None
-        r = self.config.footprint_radius
-        self._records = _collision_records(self.state.entities, r)
-        # The robot has crossed a bar once its x passes the bar's far face
-        # plus the footprint radius.
-        self._bar_crossed_at = tuple(
-            ent.pose[0] + ent.dims[0] / 2.0 + r
-            for ent in scene.entities if ent.kind is EntityKind.BAR
-        )
+        cfg = self.config
+        r = cfg.footprint_radius
+        self._set_records(self.state.entities)
+        # The robot has crossed a bar once its x passes the nearest bar's far
+        # face plus the footprint radius.
+        self._bar_crossed_at = min((ent.pose[0] + ent.dims[0] / 2.0 + r
+                                    for ent in scene.entities if ent.kind is EntityKind.BAR),
+                                   default=math.inf)
+        rates, slew = cfg.rates, cfg.slew
+        self._dt = dt = rates.substep_dt
+        self._substeps = rates.substeps
+        self._slew_steps = (slew.h_z * dt, slew.phi * dt, slew.s_y * dt, slew.h_z_f * dt,
+                            slew.theta * dt, slew.f * dt)
         self._maybe_mark_success()
 
     @property
@@ -232,57 +275,72 @@ class Simulator:
         episode already ended or a command value is not finite."""
         if self.done:
             raise SimulationError(f"episode already terminal ({self.status.value})")
-        if not all(math.isfinite(v) for v in a.continuous()):
+        if not all(map(math.isfinite, a.continuous())):
             raise SimulationError(f"non-finite command: {a.continuous()}")
-        cfg = self.config
-        rates, slew = cfg.rates, cfg.slew
-        dt = rates.substep_dt
-        r = cfg.footprint_radius
-        records, bars = self._records, self._bar_crossed_at
+        dt, n, r = self._dt, self._substeps, self.config.footprint_radius
+        s_h_z, s_phi, s_s_y, s_h_z_f, s_theta, s_f = self._slew_steps
         state = self.state
-        passed = state.bar_passed
+        body = state.body
         x, y, yaw = state.robot_pose
         v_x, v_y, omega_z = a.v_x, a.v_y, a.omega_z
+        # No substep moves the robot more than (|v_x| + |v_y|) * dt along
+        # either axis, so only records whose box meets the reach box can stop
+        # it this tick.
+        reach = n * (abs(v_x) + abs(v_y)) * dt
+        reach += _REACH_PAD * (1.0 + abs(x) + abs(y) + reach)
+        x0, x1, y0, y1 = x - reach, x + reach, y - reach, y + reach
+        live = [rec for rec, (bx0, bx1, by0, by1) in zip(self._records, self._boxes)
+                if bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1]
+        bar_crossed_at, passed = self._bar_crossed_at, state.bar_passed
         # The body slews independently of the pose; the collision check reads
-        # the body height and stance of each substep.
-        n = rates.substeps
-        body = state.body
-        h_zs = _slew_path(body.h_z, a.h_z, slew.h_z * dt, n)
-        s_ys = _slew_path(body.s_y, a.s_y, slew.s_y * dt, n)
+        # the body height and stance of each substep. A body already at its
+        # targets stays the same object.
+        h_z, s_y, theta = body.h_z, body.s_y, body.theta
+        at_targets = _same_bits(
+            (a.h_z, a.phi, a.s_y, a.h_z_f, a.theta_1, a.theta_2, a.theta_3, a.f),
+            (h_z, body.phi, s_y, body.h_z_f, *theta, body.f),
+        )
         collided = None
+        cos, sin = math.cos, math.sin
         for k in range(n):
             # Translate with the current yaw, then rotate.
-            cos_yaw, sin_yaw = math.cos(yaw), math.sin(yaw)
+            cos_yaw, sin_yaw = cos(yaw), sin(yaw)
             x += (v_x * cos_yaw - v_y * sin_yaw) * dt
             y += (v_x * sin_yaw + v_y * cos_yaw) * dt
             yaw += omega_z * dt
-            if not passed and bars:
-                passed = any(x > crossed_at for crossed_at in bars)
-            if records:
-                collided = _first_violation(records, x, y, h_zs[k], s_ys[k], r)
+            if not passed:
+                passed = x > bar_crossed_at
+            if live:
+                h_z = _slew(h_z, a.h_z, s_h_z, 1)
+                s_y = _slew(s_y, a.s_y, s_s_y, 1)
+                collided = _first_violation(live, x, y, h_z, s_y, r)
                 if collided is not None:
                     break
         pose = (x, y, yaw)
-        if not all(math.isfinite(v) for v in pose):
+        if not all(map(math.isfinite, pose)):
             raise SimulationError(f"non-finite pose after integration: {pose}")
 
+        if not at_targets:
+            # A channel the collision check did not read needs only its value
+            # after the k + 1 substeps.
+            m = k + 1
+            if not live:
+                h_z = _slew(h_z, a.h_z, s_h_z, m)
+                s_y = _slew(s_y, a.s_y, s_s_y, m)
+            body = BodyState(
+                h_z, _slew(body.phi, a.phi, s_phi, m), s_y,
+                _slew(body.h_z_f, a.h_z_f, s_h_z_f, m),
+                (_slew(theta[0], a.theta_1, s_theta, m), _slew(theta[1], a.theta_2, s_theta, m),
+                 _slew(theta[2], a.theta_3, s_theta, m)),
+                _slew(body.f, a.f, s_f, m),
+            )
         step_count = state.step_count + 1
-        theta = body.theta
-        body = BodyState(
-            h_z=h_zs[k],
-            phi=_slew_path(body.phi, a.phi, slew.phi * dt, n)[k],
-            s_y=s_ys[k],
-            h_z_f=_slew_path(body.h_z_f, a.h_z_f, slew.h_z_f * dt, n)[k],
-            theta=(
-                _slew_path(theta[0], a.theta_1, slew.theta * dt, n)[k],
-                _slew_path(theta[1], a.theta_2, slew.theta * dt, n)[k],
-                _slew_path(theta[2], a.theta_3, slew.theta * dt, n)[k],
-            ),
-            f=_slew_path(body.f, a.f, slew.f * dt, n)[k],
-        )
-        self.state = replace(
-            state, robot_pose=pose, body=body, sim_time=step_count / rates.f_low,
-            step_count=step_count, bar_passed=passed,
+        # Every field, so that no per-tick ``dataclasses.replace`` is needed.
+        self.state = WorldState(
+            robot_pose=pose, body=body, carried_object=state.carried_object,
+            entities=state.entities, sim_time=step_count / self.config.rates.f_low,
+            step_count=step_count, oriented_ticks=state.oriented_ticks,
+            bar_passed=passed, ball_released=state.ball_released,
         )
         self._update_orientation_hold()
         self._maybe_release_ball()
@@ -292,10 +350,15 @@ class Simulator:
         elif not self._in_arena():
             self.status = Status.OUT_OF_BOUNDS
         else:
-            self.status = check_success(self.state, self.scene, cfg)
+            self.status = check_success(self.state, self.scene, self.config)
         return self.outcome()
 
     # -- internal bookkeeping -------------------------------------------------
+
+    def _set_records(self, entities: list[Entity]) -> None:
+        r = self.config.footprint_radius
+        self._records = _collision_records(entities, r)
+        self._boxes = _reach_boxes(self._records, r)
 
     def _in_arena(self) -> bool:
         x0, x1, y0, y1 = self.config.arena
@@ -323,6 +386,6 @@ class Simulator:
         d = self.config.throw_distance
         landed = replace(carried, pose=(x + d * math.cos(yaw), y + d * math.sin(yaw), 0.0))
         self.state.entities = self.state.entities + [landed]
-        self._records = _collision_records(self.state.entities, self.config.footprint_radius)
+        self._set_records(self.state.entities)
         self.state.carried_object = None
         self.state.ball_released = True

@@ -158,6 +158,31 @@ def test_unknown_suite_and_policy_are_usage_errors(tmp_path):
     assert run_cli("eval", "--policy", "telepathy", "--suite", "dev_small")[0] == 2
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("collect", "--seed", "-1"),
+    ("collect", "--workers", "0"),
+    ("collect", "--count", "-1"),
+    ("eval", "--seed", "-1"),
+    ("eval", "--knn-k", "0"),
+    ("eval", "--knn-k", "five"),
+], ids=["collect-seed", "collect-workers", "collect-count", "eval-seed", "eval-knn-k",
+        "eval-knn-k-not-an-integer"])
+def test_out_of_range_integer_flags_are_usage_errors(tmp_path, capsys, command, flag, value):
+    store = tmp_path / "store"
+    if command == "collect":
+        argv = ["collect", "--out", str(store), "--task", "go_to"]
+    else:
+        argv = ["eval", "--policy", f"knn:{store}", "--out", str(tmp_path / "report")]
+    with pytest.raises(SystemExit) as exited:
+        main(argv + [flag, value])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and f"argument {flag}:" in errors[0]
+    assert captured.out == ""
+    assert not store.exists() and not (tmp_path / "report").exists()
+
+
 def test_bad_config_is_a_usage_error(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -8,8 +8,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quadkit.actions import ActionTokens, default_action_space
-from quadkit.config import RunConfig
+from quadkit.actions import ActionTokens, default_action_space, detokenize
+from quadkit.config import RunConfig, SimConfig
 from quadkit.evaluation import (
     KnnPolicy,
     OraclePolicy,
@@ -28,6 +28,7 @@ from quadkit.language import LanguageError, parse_instruction, render_instructio
 from quadkit.store import MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, Split
 from quadkit.world.camera import render_observation
+from quadkit.world.sim import Simulator
 
 from oracles import block_mean_pool, knn_reference
 
@@ -181,6 +182,79 @@ def test_a_render_error_aborts_the_suite_instead_of_being_malformed(monkeypatch,
     monkeypatch.setattr(harness, "render_observation", broken)
     with pytest.raises(RuntimeError, match="renderer broke"):
         run_suite(ReadTheImage(swallow), small_suite(6))
+
+
+def tokens(v_x_bin: int, terminate: bool = False) -> ActionTokens:
+    """Mid-range bins everywhere but v_x; a v_x bin outside the space is kept."""
+    lo = SPACE.token_offset
+    return ActionTokens((lo + v_x_bin,) + (lo + 128,) * 10 + (lo + int(terminate),))
+
+
+class Scripted:
+    """Emits ``script[i]`` on tick i of every episode, and the script's last
+    vector once it runs out."""
+
+    def __init__(self, script):
+        self.script = script
+
+    def bind(self, sim):
+        self.tick = 0
+
+    def act(self, obs, instruction):
+        self.tick += 1
+        return self.script[min(self.tick, len(self.script)) - 1]
+
+
+@pytest.fixture
+def decodes(monkeypatch):
+    """The token vectors ``harness.detokenize`` is called with."""
+    calls = []
+
+    def counted(tokens, space):
+        calls.append(tokens)
+        return detokenize(tokens, space)
+
+    monkeypatch.setattr(harness, "detokenize", counted)
+    return calls
+
+
+def test_a_repeated_token_vector_is_decoded_once_per_change(decodes, monkeypatch):
+    slow, faster, stop = tokens(128), tokens(140), tokens(128, terminate=True)
+    script = [slow, slow, slow, faster, faster, slow, slow, stop]
+    stepped = []
+    step = Simulator.step
+
+    def recorded(sim, cmd):
+        stepped.append(cmd)
+        return step(sim, cmd)
+
+    monkeypatch.setattr(Simulator, "step", recorded)
+    report = run_suite(Scripted(script), build_suite("one", {"go_to": 1}, 0))
+    assert report.overall.buckets["wrong_target"] == 1
+    assert decodes == [slow, faster, slow, stop]
+    # Every tick still steps its own tokens' command.
+    assert stepped == [detokenize(t, SPACE) for t in script[:-1]]
+
+
+@pytest.mark.parametrize("script,decoded", [
+    ([tokens(SPACE.bin_count)], [tokens(SPACE.bin_count)]),
+    ([tokens(128), tokens(128), tokens(SPACE.bin_count)],
+     [tokens(128), tokens(SPACE.bin_count)]),
+    ([tokens(128), tokens(-1), tokens(-1)], [tokens(128), tokens(-1)]),
+], ids=["first-tick", "after-a-repeat", "then-repeated"])
+def test_out_of_range_tokens_are_malformed_on_any_tick(decodes, script, decoded):
+    report = run_suite(Scripted(script), small_suite(6))
+    assert report.overall.buckets["malformed"] == report.overall.budget
+    assert decodes == decoded * report.overall.budget
+
+
+def test_the_decode_memo_never_carries_over_to_the_next_entry(decodes):
+    run = RunConfig(sim=SimConfig(max_ticks=2))
+    report = run_suite(Scripted([tokens(128)]), small_suite(3), run)
+    assert report.overall.buckets["timeout"] == report.overall.budget
+    # Each entry decodes its first vector, though it equals the last one of
+    # the entry before.
+    assert decodes == [tokens(128)] * report.overall.budget
 
 
 def test_report_serializations_cover_all_buckets():

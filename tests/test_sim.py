@@ -8,12 +8,14 @@ import pytest
 import numpy as np
 
 from quadkit.actions import ActionCommand
-from quadkit.config import RateConfig, SimConfig, SlewConfig
+from quadkit.config import DEFAULT_ACTION_RANGES, RateConfig, SimConfig, SlewConfig
 from quadkit.expert import sample_scene
 from quadkit.taxonomy import Color, GaitName, ObjectRef, Skill, SpeedLevel, TaskSpec
 from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.scene import Scene
+from quadkit.world import sim as sim_module
 from quadkit.world.sim import SimulationError, Simulator, check_collision, check_success
+from quadkit.world.sim import _first_violation as first_violation
 from quadkit.world.state import BodyState, Status, WorldState
 
 from oracles import footprint_distance, step_reference
@@ -219,6 +221,139 @@ def test_step_matches_the_per_substep_reference_bit_for_bit():
     }
     assert {Status.SUCCESS, Status.COLLISION, Status.OUT_OF_BOUNDS} <= seen["statuses"]
     assert seen["bar_passed"] and seen["released"]
+
+
+# -- tick-level culling -----------------------------------------------------------
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """One entry per ``_first_violation`` call the simulator makes."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return first_violation(*args)
+
+    monkeypatch.setattr(sim_module, "_first_violation", counted)
+    return calls
+
+
+def _blocker(kind: str, rng) -> Entity:
+    """One entity of a collision-record kind near (2, 0), of random size."""
+    at = (2.0 + float(rng.uniform(-0.3, 0.3)), float(rng.uniform(-0.3, 0.3)), 0.0)
+    if kind == "round":
+        d = float(rng.uniform(0.1, 0.6))
+        return Entity(EntityKind.OBSTACLE, "cylinder", Color.BLUE, at, (d, d, 0.4))
+    if kind == "box":
+        return Entity(EntityKind.LETTER_BOX, "letter box", Color.GREEN, at,
+                      (float(rng.uniform(0.1, 0.8)), float(rng.uniform(0.1, 0.8)), 0.4))
+    if kind == "tunnel":
+        section = ("triangle", "rectangle")[int(rng.integers(2))]
+        return Entity(EntityKind.TUNNEL, f"{section} tunnel", Color.PINK, at, (0.8, 1.3, 0.6),
+                      attributes={"passage_width": 1.1, "outer_halfwidth": 0.65,
+                                  "wall_thickness": 0.1, "height": 0.6,
+                                  "cross_section": section})
+    return Entity(EntityKind.BAR, "bar", Color.YELLOW, at, (0.06, 2.2, 0.06),
+                  attributes={"clearance": float(rng.uniform(0.1, 0.3))})
+
+
+def _reach_half_extents(ent: Entity, r: float) -> tuple[float, float]:
+    """Half extents of the box around ``ent`` that the robot's center must
+    enter to break it: the footprint grown by r, a tunnel's depth and outer
+    width grown by r, a bar's thickness grown by r along its span."""
+    hx, hy = ent.dims[0] / 2.0, ent.dims[1] / 2.0
+    if ent.kind is EntityKind.TUNNEL:
+        return hx + r, ent.attributes["outer_halfwidth"] + r
+    if ent.kind is EntityKind.BAR:
+        return hx + r, hy
+    return hx + r, hy + r
+
+
+MAX_SPEED = {name: hi for name, _, hi, _ in DEFAULT_ACTION_RANGES}
+
+
+@pytest.mark.parametrize("kind", ["round", "box", "tunnel", "bar"])
+def test_ticks_at_the_edge_of_a_record_box_match_the_reference(kind, checks):
+    """Drive at up to the top speed straight at one record, from where a
+    tick ends just short of or just inside the box its center must enter,
+    and compare every tick with the per-substep reference."""
+    rng = np.random.default_rng(["round", "box", "tunnel", "bar"].index(kind))
+    cfg = SimConfig()
+    n, dt, r = cfg.rates.substeps, cfg.rates.substep_dt, cfg.footprint_radius
+    culled = edge_hits = 0
+    for trial in range(80):
+        ent = _blocker(kind, rng)
+        half = _reach_half_extents(ent, r)
+        axis, side, sideways = trial % 2, (-1.0, 1.0)[trial // 2 % 2], trial // 4 % 2
+        speed = MAX_SPEED["v_y" if sideways else "v_x"]
+        if trial % 3:
+            speed *= float(rng.uniform(0.05, 1.0))
+        gap = (-1e-3, -1e-9, 1e-9, 1e-3)[trial // 8 % 4]  # > 0 ends the tick inside
+        # Start on the record's ``side`` along ``axis``, heading at it.
+        along = ent.pose[axis] + side * (half[axis] + n * speed * dt - gap)
+        other = ent.pose[1 - axis] + half[1 - axis] * (
+            0.0 if trial % 5 == 0 else float(rng.uniform(-0.95, 0.95)))
+        heading = math.atan2(-side, 0.0) if axis else math.atan2(0.0, -side)
+        x, y = (along, other) if axis == 0 else (other, along)
+        cmd = ActionCommand(v_x=0.0 if sideways else speed, v_y=speed if sideways else 0.0,
+                            h_z=float(rng.uniform(0.1, 0.35)) if trial % 7 < 3 else 0.25)
+        if trial % 6 == 5:  # a turning, drifting command near the box
+            cmd = replace(cmd, **{name: float(rng.uniform(-MAX_SPEED[name], MAX_SPEED[name]))
+                                  for name in ("v_x", "v_y", "omega_z")})
+        target = Entity(EntityKind.TARGET_OBJECT, "cube", Color.RED, (5.5, -3.0, 0.0),
+                        (0.3, 0.3, 0.3))
+        scene = Scene(task=task(Skill.GO_TO), entities=[target, ent], target_index=0,
+                      goal_xy=(5.5, -3.0),
+                      start_pose=(x, y, heading - math.pi / 2.0 if sideways else heading))
+        sim, ref = Simulator(scene, cfg), Simulator(scene, cfg)
+        for tick in range(3):
+            if sim.done:
+                break
+            before = len(checks)
+            out, want = sim.step(cmd), step_reference(ref, cmd)
+            assert repr(out) == repr(want)
+            assert repr(sim.state) == repr(ref.state)
+            if tick == 0:
+                culled += len(checks) == before
+                edge_hits += gap == 1e-9 and out.status is Status.COLLISION
+    # Both sides of the edge were reached: whole ticks culled, and ticks that
+    # end a billionth of a metre inside the box broke the record.
+    assert culled and edge_hits
+
+
+def test_a_tick_that_reaches_no_record_makes_no_collision_check(checks):
+    wall = Entity(EntityKind.OBSTACLE, "cube", Color.BLUE, (1.0, 0.0, 0.0), (0.45, 0.45, 0.5))
+    bar = Entity(EntityKind.BAR, "bar", Color.YELLOW, (-1.2, 0.0, 0.0), (0.06, 2.2, 0.06),
+                 attributes={"clearance": 0.1})
+    sim = Simulator(go_to_scene(target_xy=(4.0, -2.0), extra=[wall, bar]))
+    # A full-speed tick ends 0.5 m ahead, short of the wall's box at 0.575 m.
+    assert sim.step(neutral_command(v_x=1.0)).status is Status.RUNNING
+    assert checks == []
+    # The next one reaches it and checks every substep until the hit.
+    assert sim.step(neutral_command(v_x=1.0)).status is Status.COLLISION
+    assert 0 < len(checks) <= sim.config.rates.substeps
+
+
+def test_records_rebuilt_at_a_ball_release_are_still_culled(checks):
+    tray = Entity(EntityKind.RECEPTACLE, "traybox", Color.BLUE, (3.0, 1.0, 0.0),
+                  (0.7, 0.7, 0.25))
+    wall = Entity(EntityKind.OBSTACLE, "cube", Color.RED, (1.2, 0.0, 0.0), (0.3, 0.3, 0.5))
+    scene = Scene(task=task(Skill.UNLOAD, ObjectRef("traybox", Color.BLUE)),
+                  entities=[tray, wall], target_index=0, goal_xy=(3.0, 1.0))
+    sim, ref = Simulator(scene), Simulator(scene)
+    # Pitch in place until the ball drops at the end of tick 2, then walk
+    # into the wall, whose box starts 0.85 m ahead.
+    per_tick = []
+    for cmd in [ActionCommand(phi=0.38)] * 2 + [ActionCommand(v_x=1.0, phi=0.38)] * 2:
+        before = len(checks)
+        out, want = sim.step(cmd), step_reference(ref, cmd)
+        per_tick.append(len(checks) - before)
+        assert repr(out) == repr(want)
+        assert repr(sim.state) == repr(ref.state)
+    assert sim.state.ball_released
+    assert sim.status is Status.COLLISION
+    assert per_tick[:3] == [0, 0, 0] and per_tick[3] > 0
 
 
 # -- collision -----------------------------------------------------------------
