@@ -103,6 +103,10 @@ def _collect_shard(root: str, shard: str, jobs: list, run: RunConfig) -> dict:
 
 
 def cmd_collect(args) -> int:
+    if not args.task:
+        for flag, value in (("--count", args.count), ("--source", args.source)):
+            if value is not None:
+                raise UsageError(f"{flag} needs --task (the default plan fixes both)")
     run = _load_run_config(args)
     space = default_action_space()
     root = Path(args.out)
@@ -112,7 +116,7 @@ def cmd_collect(args) -> int:
         store = EpisodeStore.create(root, space, run.sim.rates)
 
     if args.task:
-        plan = [(args.task, args.count, args.source)]
+        plan = [(args.task, 10 if args.count is None else args.count, args.source or "sim")]
     else:
         plan = _desk_plan()
 
@@ -126,12 +130,14 @@ def cmd_collect(args) -> int:
         shards.append((f"{task_name}-{source}-{args.seed:04d}", jobs))
 
     total = sum(len(jobs) for _, jobs in shards)
+    # A worker beyond the shard count would only start and sit idle.
+    workers = min(args.workers, len(shards))
     log.info("collecting %d episodes into %s (%d shards, %d workers)",
-             total, root, len(shards), args.workers)
-    if args.workers > 1:
+             total, root, len(shards), workers)
+    if workers > 1:
         # Pool workers hold SIGINT for good: each shard takes it between
         # episodes, and an idle worker prints no traceback.
-        with ProcessPoolExecutor(max_workers=args.workers,
+        with ProcessPoolExecutor(max_workers=workers,
                                  initializer=signal.pthread_sigmask,
                                  initargs=(signal.SIG_BLOCK, {signal.SIGINT})) as pool:
             futures = [
@@ -349,8 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="store directory")
     p.add_argument("--task", choices=[s.value for s in Skill],
                    help="single task (default: the scaled-down full plan)")
-    p.add_argument("--count", type=_int_at_least(0), default=10, help="episodes for --task")
-    p.add_argument("--source", choices=["sim", "real"], default="sim")
+    p.add_argument("--count", type=_int_at_least(0),
+                   help="episodes for --task (default 10)")
+    p.add_argument("--source", choices=["sim", "real"], help="source for --task (default sim)")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_collect)

@@ -196,7 +196,7 @@ class _Frame:
             if self.error is not None:
                 raise self.error
             try:
-                self._image = render_observation(self._state, self._camera).image
+                self._image = render_observation(self._state, self._camera)
             except Exception as exc:
                 self.error = exc
                 raise

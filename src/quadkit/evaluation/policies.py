@@ -1,9 +1,9 @@
 """Evaluation policies: scripted oracle, uniform random, and a trajectory
 nearest-neighbor imitator.
 
-Policies consume an observation plus instruction text and emit action tokens.
-The harness renders an observation's ``image`` when a policy first reads it,
-so a policy that never reads it costs no render.
+Policies consume an observation (:class:`Frame`) plus instruction text and
+emit action tokens. The harness renders a frame's ``image`` when a policy
+first reads it, so a policy that never reads it costs no render.
 The harness calls ``bind(sim)`` on every policy before each episode; only the
 oracle reads the live simulator there (it is the privileged reference, not a
 learned model), and the other policies ignore it. The nearest-neighbor
@@ -46,17 +46,24 @@ from ..config import RunConfig
 from ..language import CATEGORY_VOCAB, parse_instruction
 from ..store.episodes import Episode, EpisodeStore
 from ..taxonomy import Color, GaitName, Skill, SpeedLevel, TaskSpec, LETTERS
-from ..world.camera import Observation
 from ..world.sim import Simulator
 from .. import expert
 from ..expert.collect import expert_tracker
+
+
+class Frame(Protocol):
+    """An observation: any object whose ``image`` is the tick's read-only
+    (H, W, 3) uint8 camera frame, such as the harness's lazily rendered one."""
+
+    @property
+    def image(self) -> np.ndarray: ...
 
 
 @runtime_checkable
 class Policy(Protocol):
     def bind(self, sim: Simulator) -> None: ...
 
-    def act(self, obs: Observation, instruction: str) -> ActionTokens: ...
+    def act(self, obs: Frame, instruction: str) -> ActionTokens: ...
 
 
 class OraclePolicy:
@@ -77,7 +84,7 @@ class OraclePolicy:
         except expert.NoPathError:
             self._tracker = None
 
-    def act(self, obs: Observation, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> ActionTokens:
         if self._sim is None:
             raise RuntimeError("oracle must be bound to a simulator first")
         if self._tracker is None:
@@ -98,7 +105,7 @@ class RandomPolicy:
     def bind(self, sim: Simulator) -> None:
         pass
 
-    def act(self, obs: Observation, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> ActionTokens:
         lo = self.space.token_offset
         bins = self._rng.integers(lo, lo + self.space.bin_count, size=11)
         term = self._rng.integers(lo, lo + 2)
@@ -183,7 +190,7 @@ class KnnPolicy:
             self._spec_memo = (instruction, _encode_spec(spec))
         return self._spec_memo[1]
 
-    def act(self, obs: Observation, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> ActionTokens:
         image = obs.image
         # A byte copy, so a caller that mutates its array in place misses.
         key = (instruction, image.shape, image.dtype.str, image.tobytes())

@@ -49,11 +49,11 @@ def expert_tracker(scene, run: RunConfig) -> PathTracker:
     return PathTracker(scene, plan_for_task(scene, run), run.expert, run.sim)
 
 
-def _record_step(steps: list[Step], obs, cmd: ActionCommand, pose,
+def _record_step(steps: list[Step], image, cmd: ActionCommand, pose,
                  space: ActionSpaceSpec) -> None:
     clamped = clamp_to_space(cmd, space)
     steps.append(Step(
-        image=obs.image,
+        image=image,
         tokens=tokenize(clamped, space).tokens,
         command=clamped,
         pose=tuple(pose),
@@ -89,14 +89,14 @@ def generate_episode(task: TaskSpec, seed: int,
     sim = Simulator(scene, run.sim)
     steps: list[Step] = []
     while not sim.done:
-        obs = render_observation(sim.state, run.sim.camera)
+        image = render_observation(sim.state, run.sim.camera)
         cmd = tracker.command(sim.state)
-        _record_step(steps, obs, cmd, sim.state.robot_pose, space)
+        _record_step(steps, image, cmd, sim.state.robot_pose, space)
         sim.step(cmd)
     # Only a success records the terminal observation, paired with the stop.
     if sim.status is Status.SUCCESS:
-        obs = render_observation(sim.state, run.sim.camera)
-        _record_step(steps, obs, tracker.stop_command(), sim.state.robot_pose, space)
+        image = render_observation(sim.state, run.sim.camera)
+        _record_step(steps, image, tracker.stop_command(), sim.state.robot_pose, space)
     episode.outcome = sim.status.value
     episode.steps = steps
     return episode

@@ -331,6 +331,33 @@ class ShardWriter:
             self._discard()
 
 
+# The manifest fields that :meth:`EpisodeStore.create` writes and the fields
+# of each shard entry (:class:`ShardInfo`), with their JSON types.
+_MANIFEST_FIELDS = {"action_space": dict, "rates": dict, "episode_count": int, "shards": list}
+_SHARD_FIELDS = {"name": str, "episodes": int, "sha256": str}
+_JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
+
+
+def _read_manifest(path: Path) -> dict:
+    """The manifest at ``path``; raises ``StoreError`` naming the first field
+    that does not have the shape :meth:`EpisodeStore.create` writes."""
+    manifest = json.loads(path.read_text())
+    if type(manifest) is not dict:
+        raise StoreError(f"{path}: expected an object, got {type(manifest).__name__}")
+    if manifest.get("format_version") != FORMAT_VERSION:
+        raise StoreError(f"unsupported store format {manifest.get('format_version')!r}")
+    for key, kind in _MANIFEST_FIELDS.items():
+        if type(manifest.get(key)) is not kind:
+            raise StoreError(f"{path}: {key} must be {_JSON_TYPES[kind]}")
+    for i, shard in enumerate(manifest["shards"]):
+        if type(shard) is not dict or shard.keys() != _SHARD_FIELDS.keys():
+            raise StoreError(f"{path}: shards[{i}] must hold exactly name, episodes and sha256")
+        for key, kind in _SHARD_FIELDS.items():
+            if type(shard[key]) is not kind:
+                raise StoreError(f"{path}: shards[{i}].{key} must be {_JSON_TYPES[kind]}")
+    return manifest
+
+
 class EpisodeStore:
     """Reader/writer for one store root."""
 
@@ -366,12 +393,7 @@ class EpisodeStore:
         path = root / "manifest.json"
         if not path.exists():
             raise StoreError(f"no manifest.json under {root}")
-        manifest = json.loads(path.read_text())
-        if manifest.get("format_version") != FORMAT_VERSION:
-            raise StoreError(
-                f"unsupported store format {manifest.get('format_version')!r}"
-            )
-        return EpisodeStore(root, manifest)
+        return EpisodeStore(root, _read_manifest(path))
 
     def _write_manifest(self) -> None:
         tmp = self.root / "manifest.json.tmp"
@@ -441,7 +463,7 @@ class EpisodeStore:
         """Record finished shards in the manifest (lock-serialized)."""
         infos = list(infos)
         with _manifest_lock(self.root):
-            current = json.loads((self.root / "manifest.json").read_text())
+            current = _read_manifest(self.root / "manifest.json")
             names = {s["name"] for s in current["shards"]}
             for info in infos:
                 if info.name in names:

@@ -2,9 +2,10 @@
 
 A pinhole camera rides at the front of the body, yawed with the robot and
 pitched with the realized body pitch. Entities render as color-filled
-bounding boxes in painter's order; ground and sky fill the rest. The raster
-is a pure function of (state, intrinsics): identical states give
-byte-identical images.
+bounding boxes in painter's order; ground and sky fill the rest.
+:func:`render_observation` returns the raster itself, a read-only (H, W, 3)
+uint8 array, as a pure function of (state, intrinsics): identical states
+give byte-identical images.
 
 The projection is plain IEEE double arithmetic in Python floats, with no
 BLAS call, so the bytes do not depend on the machine. Each corner's offset
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,15 +45,6 @@ GROUND_RGB = (120, 110, 100)
 SKY_RGB = (180, 210, 235)
 
 
-@dataclass(frozen=True)
-class Observation:
-    image: np.ndarray          # (H, W, 3) uint8
-
-    def __post_init__(self):
-        if self.image.dtype != np.uint8 or self.image.ndim != 3:
-            raise ValueError("observation image must be (H, W, 3) uint8")
-
-
 @functools.lru_cache(maxsize=64)
 def _row(rgb: tuple[int, int, int], width: int) -> np.ndarray:
     """``width`` pixels of one color as a flat, read-only uint8 row."""
@@ -72,7 +63,8 @@ def _background(split: int, width: int, height: int) -> np.ndarray:
     return image
 
 
-def render_observation(state: WorldState, intrinsics: CameraConfig | None = None) -> Observation:
+def render_observation(state: WorldState, intrinsics: CameraConfig | None = None) -> np.ndarray:
+    """The frame of ``state`` as a read-only (H, W, 3) uint8 array."""
     cam = intrinsics or CameraConfig()
     w, h = cam.width, cam.height
     fx = (w / 2.0) / math.tan(math.radians(cam.hfov_deg) / 2.0)
@@ -129,12 +121,11 @@ def render_observation(state: WorldState, intrinsics: CameraConfig | None = None
             pixels[v0:v1, 3 * u0:3 * u1] = _row(COLOR_RGB[ent.color], w)[:3 * (u1 - u0)]
 
     img.flags.writeable = False
-    return Observation(img)
+    return img
 
 
-def to_ppm(obs_or_image) -> bytes:
-    """Serialize a raster as binary PPM (P6)."""
-    image = obs_or_image.image if isinstance(obs_or_image, Observation) else obs_or_image
+def to_ppm(image: np.ndarray) -> bytes:
+    """Serialize an (H, W, 3) uint8 raster as binary PPM (P6)."""
     h, w, _ = image.shape
     return b"P6\n%d %d\n255\n" % (w, h) + image.tobytes()
 

@@ -10,13 +10,13 @@ judged once per tick, by :func:`check_success` on the scene's own task.
 
 The substep loop runs on local floats. Collision geometry is checked against
 collision records: each solid, tunnel and bar entity becomes one tuple of the
-numbers its check needs, built once per entity list by
-:func:`_collision_records` and tested in list order by
-:func:`_first_violation`, the one collision kernel (:func:`check_collision`
-uses it too). Each record has a box (:func:`_reach_boxes`) outside which it
-can never be violated, and a tick checks only the records whose box meets
-the tick's reach box: the start pose grown by the farthest the command can
-move the robot in the tick, plus a rounding pad. A tick that reaches no
+numbers its check needs, built with the box outside which it can never be
+violated by :func:`_collision_records`, once per simulator, and tested in
+list order by :func:`_first_violation`, the one collision kernel
+(:func:`check_collision` uses it too). A tick checks only the records whose
+box meets the tick's reach box: the start pose grown by the farthest the
+command can move the robot in the tick, plus a rounding pad. A ball release
+adds no record, since a landed ball blocks nothing. A tick that reaches no
 record slews each body channel straight to its value after the tick, and a
 body already at its commanded values, bit for bit, is kept as it is.
 
@@ -78,8 +78,11 @@ def _same_bits(a: tuple, b: tuple) -> bool:
 _ROUND, _BOX, _TUNNEL, _BAR = range(4)
 
 
-def _collision_records(entities: list[Entity], r: float) -> list[tuple]:
-    """One record per entity that can stop the robot, in list order:
+def _collision_records(entities: list[Entity], r: float) -> list[tuple[tuple, tuple]]:
+    """One ``(box, record)`` pair per entity that can stop the robot, in list
+    order. The box ``(x0, x1, y0, y1)`` bounds where :func:`_first_violation`
+    can return the record: the footprint grown by ``r`` for solids, the depth
+    band and outer width for tunnels, the bar's span. The records are:
 
     - ``(_ROUND, ex, ey, radius, message)`` and
       ``(_BOX, ex, ey, hx, hy, message)`` for solids;
@@ -89,44 +92,31 @@ def _collision_records(entities: list[Entity], r: float) -> list[tuple]:
 
     Targets, receptacles and landed balls block nothing and get no record.
     """
-    records = []
+    pairs = []
     for ent in entities:
         ex, ey, _ = ent.pose
         dims, attrs = ent.dims, ent.attributes
         if ent.kind in SOLID_KINDS:
             message = f"footprint hit {ent.kind.value} ({ent.shape})"
+            bx, by = dims[0] / 2.0, dims[1] / 2.0
             if ent.shape in ROUND_SHAPES:
-                records.append((_ROUND, ex, ey, dims[0] / 2.0, message))
+                by = bx  # a circle of radius bx
+                record = (_ROUND, ex, ey, bx, message)
             else:
-                records.append((_BOX, ex, ey, dims[0] / 2.0, dims[1] / 2.0, message))
+                record = (_BOX, ex, ey, bx, by, message)
+            hx, hy = bx + r, by + r
         elif ent.kind is EntityKind.TUNNEL:
             passage = attrs["passage_width"] / 2.0
             apex = attrs["height"] if attrs.get("cross_section") == "triangle" else None
-            records.append((_TUNNEL, ex, ey, attrs["outer_halfwidth"] + r,
-                            dims[0] / 2.0, dims[0] / 2.0 + r, passage, apex, passage - r))
+            hx, hy = dims[0] / 2.0 + r, attrs["outer_halfwidth"] + r
+            record = (_TUNNEL, ex, ey, hy, dims[0] / 2.0, hx, passage, apex, passage - r)
         elif ent.kind is EntityKind.BAR:
-            records.append((_BAR, ex, ey, dims[0] / 2.0 + r, dims[1] / 2.0,
-                            attrs["clearance"]))
-    return records
-
-
-def _reach_boxes(records: list[tuple], r: float) -> list[tuple[float, float, float, float]]:
-    """Per record, the box ``(x0, x1, y0, y1)`` outside which
-    :func:`_first_violation` never returns it: the footprint grown by ``r``
-    for solids, the depth band and outer width for tunnels, the bar's span."""
-    boxes = []
-    for rec in records:
-        tag, ex, ey = rec[0], rec[1], rec[2]
-        if tag == _ROUND:
-            hx = hy = rec[3] + r
-        elif tag == _BOX:
-            hx, hy = rec[3] + r, rec[4] + r
-        elif tag == _TUNNEL:
-            hx, hy = rec[5], rec[3]
-        else:  # _BAR
-            hx, hy = rec[3], rec[4]
-        boxes.append((ex - hx, ex + hx, ey - hy, ey + hy))
-    return boxes
+            hx, hy = dims[0] / 2.0 + r, dims[1] / 2.0
+            record = (_BAR, ex, ey, hx, hy, attrs["clearance"])
+        else:
+            continue
+        pairs.append(((ex - hx, ex + hx, ey - hy, ey + hy), record))
+    return pairs
 
 
 # Pad of a tick's reach box, relative to its coordinates: far above the
@@ -183,7 +173,8 @@ def check_collision(pose, body: BodyState, entities: list[Entity],
     ``body`` fails the bar/tunnel height constraints; None otherwise."""
     r = (config or SimConfig()).footprint_radius
     x, y, _ = pose
-    return _first_violation(_collision_records(entities, r), x, y, body.h_z, body.s_y, r)
+    records = [rec for _, rec in _collision_records(entities, r)]
+    return _first_violation(records, x, y, body.h_z, body.s_y, r)
 
 
 def _distance_to_target(state: WorldState, scene: Scene) -> float:
@@ -250,7 +241,7 @@ class Simulator:
         self.violation: str | None = None
         cfg = self.config
         r = cfg.footprint_radius
-        self._set_records(self.state.entities)
+        self._records = _collision_records(self.state.entities, r)
         # The robot has crossed a bar once its x passes the nearest bar's far
         # face plus the footprint radius.
         self._bar_crossed_at = min((ent.pose[0] + ent.dims[0] / 2.0 + r
@@ -289,7 +280,7 @@ class Simulator:
         reach = n * (abs(v_x) + abs(v_y)) * dt
         reach += _REACH_PAD * (1.0 + abs(x) + abs(y) + reach)
         x0, x1, y0, y1 = x - reach, x + reach, y - reach, y + reach
-        live = [rec for rec, (bx0, bx1, by0, by1) in zip(self._records, self._boxes)
+        live = [rec for (bx0, bx1, by0, by1), rec in self._records
                 if bx0 <= x1 and x0 <= bx1 and by0 <= y1 and y0 <= by1]
         bar_crossed_at, passed = self._bar_crossed_at, state.bar_passed
         # The body slews independently of the pose; the collision check reads
@@ -355,11 +346,6 @@ class Simulator:
 
     # -- internal bookkeeping -------------------------------------------------
 
-    def _set_records(self, entities: list[Entity]) -> None:
-        r = self.config.footprint_radius
-        self._records = _collision_records(entities, r)
-        self._boxes = _reach_boxes(self._records, r)
-
     def _in_arena(self) -> bool:
         x0, x1, y0, y1 = self.config.arena
         x, y, _ = self.state.robot_pose
@@ -386,6 +372,5 @@ class Simulator:
         d = self.config.throw_distance
         landed = replace(carried, pose=(x + d * math.cos(yaw), y + d * math.sin(yaw), 0.0))
         self.state.entities = self.state.entities + [landed]
-        self._set_records(self.state.entities)
         self.state.carried_object = None
         self.state.ball_released = True

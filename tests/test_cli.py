@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -77,13 +78,55 @@ def test_collect_is_byte_deterministic(tmp_path):
 
 
 def test_worker_count_does_not_change_the_bytes(tmp_path):
-    collect_small(tmp_path / "serial", "--workers", "1")
-    collect_small(tmp_path / "parallel", "--workers", "2")
+    # The default plan, since a one-shard plan never starts a pool.
+    for sub, workers in (("serial", "1"), ("parallel", "2")):
+        run_cli("collect", "--out", str(tmp_path / sub), "--seed", "5", "--workers", workers)
     serial = tree_bytes(tmp_path / "serial")
     assert serial == tree_bytes(tmp_path / "parallel")
     assert not any(name.endswith(".tmp") for name in serial)
     with pytest.raises(ChildProcessError):  # every image writer was reaped
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("argv, asked", [
+    (("--task", "go_to", "--count", "2", "--workers", "8"), []),
+    (("--workers", "64"), [7]),  # the default plan has 7 shards
+], ids=["one-shard", "default-plan"])
+def test_collect_starts_no_more_workers_than_shards(tmp_path, monkeypatch, argv, asked):
+    pools = []
+
+    class RecordingPool:
+        """Stands in for ``ProcessPoolExecutor``: records the worker count it
+        is asked for and runs each shard in this process."""
+
+        def __init__(self, max_workers, **kwargs):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    code, _ = run_cli("collect", "--out", str(tmp_path / "store"), "--seed", "1", *argv)
+    assert code == 0
+    assert pools == asked
+    assert EpisodeStore.open(tmp_path / "store").validate() == []
+
+
+@pytest.mark.parametrize("flag, value", [("--count", "3"), ("--source", "real")])
+def test_collect_count_or_source_without_task_is_a_usage_error(tmp_path, capsys, flag, value):
+    out = tmp_path / "store"
+    code, _ = run_cli("collect", "--out", str(out), flag, value, "--seed", "1")
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} needs --task")
+    assert not out.exists()
 
 
 def test_collect_real_source_labels_episodes(tmp_path):
@@ -272,6 +315,29 @@ def test_validate_reports_a_wrong_typed_record_without_a_traceback(tmp_path, cap
     assert code == 1
     assert "shards[batch-0].record[0]: TypeError: " in out
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _without_sha256(manifest):
+    del manifest["shards"][0]["sha256"]
+    return manifest
+
+
+@pytest.mark.parametrize("command, edit, field", [
+    ("validate", lambda manifest: [], "expected an object"),
+    ("validate", _without_sha256, "shards[0]"),
+    ("stats", _without_sha256, "shards[0]"),
+    ("stats", lambda manifest: {**manifest, "episode_count": "3"}, "episode_count"),
+    ("validate", lambda manifest: {**manifest, "shards": {}}, "shards must be a list"),
+], ids=["list", "no-sha256-validate", "no-sha256-stats", "string-count", "shards-object"])
+def test_a_malformed_manifest_is_a_store_error(tmp_path, capsys, command, edit, field):
+    collect_small(tmp_path / "store")
+    path = tmp_path / "store" / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    assert run_cli(command, "--store", str(tmp_path / "store"))[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert field in err
 
 
 def test_missing_store_is_an_operational_error(tmp_path):

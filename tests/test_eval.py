@@ -141,7 +141,7 @@ class LookTwiceThenWalk:
     def act(self, obs, instruction):
         first, second = obs.image, obs.image
         assert second is first
-        expected = render_observation(self.sim.state, self.camera).image
+        expected = render_observation(self.sim.state, self.camera)
         assert first.tobytes() == expected.tobytes()
         self.ticks += 1
         lo = SPACE.token_offset

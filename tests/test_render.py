@@ -79,8 +79,8 @@ def test_projected_size_follows_inverse_square_distance():
     near_x, far_x = 1.5, 3.0
     state_near = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[cube_at(near_x)])
     state_far = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[cube_at(far_x)])
-    img_near = render_observation(state_near, cam).image
-    img_far = render_observation(state_far, cam).image
+    img_near = render_observation(state_near, cam)
+    img_far = render_observation(state_far, cam)
 
     # Edge spans match the pinhole prediction to rasterization rounding.
     for img, x in ((img_near, near_x), (img_far, far_x)):
@@ -99,8 +99,8 @@ def test_projected_size_follows_inverse_square_distance():
 def test_entities_behind_the_camera_are_invisible():
     ahead = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[cube_at(2.0)])
     behind = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[cube_at(-2.0)])
-    assert count_color(render_observation(ahead).image, Color.RED) > 0
-    assert count_color(render_observation(behind).image, Color.RED) == 0
+    assert count_color(render_observation(ahead), Color.RED) > 0
+    assert count_color(render_observation(behind), Color.RED) == 0
 
 
 def test_nearer_entity_paints_over_farther_one():
@@ -108,33 +108,33 @@ def test_nearer_entity_paints_over_farther_one():
     far = cube_at(3.0, color=Color.RED)
     img = render_observation(
         WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[far, near])
-    ).image
+    )
     cam = CameraConfig()
     center = img[cam.height // 2, cam.width // 2]
     assert tuple(center) == COLOR_RGB[Color.BLUE]
 
 
 def test_horizon_splits_sky_from_ground_and_moves_with_pitch():
-    level = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0))).image
+    level = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0)))
     assert tuple(level[0, 0]) == SKY_RGB
     assert tuple(level[-1, 0]) == GROUND_RGB
     sky_level = (level == np.array(SKY_RGB, dtype=np.uint8)).all(axis=-1).sum()
     pitched = render_observation(
         WorldState(robot_pose=(0.0, 0.0, 0.0), body=BodyState(phi=0.3))
-    ).image
+    )
     sky_pitched = (pitched == np.array(SKY_RGB, dtype=np.uint8)).all(axis=-1).sum()
     assert sky_pitched > sky_level  # pitching up reveals more sky
 
 
 def test_yaw_pans_the_scene_sideways():
     state = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[cube_at(2.0)])
-    img = render_observation(state).image
+    img = render_observation(state)
     cols = np.where((img == np.array(COLOR_RGB[Color.RED], dtype=np.uint8))
                     .all(axis=-1).any(axis=0))[0]
     mid = (cols.min() + cols.max()) / 2.0
     turned = render_observation(
         WorldState(robot_pose=(0.0, 0.0, 0.2), entities=[cube_at(2.0)])
-    ).image
+    )
     cols_t = np.where((turned == np.array(COLOR_RGB[Color.RED], dtype=np.uint8))
                       .all(axis=-1).any(axis=0))[0]
     mid_t = (cols_t.min() + cols_t.max()) / 2.0
@@ -152,9 +152,9 @@ def test_ppm_round_trip_is_exact():
 
 
 def test_observation_image_is_write_protected():
-    obs = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0)))
+    image = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
-        obs.image[0, 0] = 0
+        image[0, 0] = 0
 
 
 def _entity_around(rng, cx: float, cy: float, spread: float) -> Entity:
@@ -184,7 +184,7 @@ def test_render_matches_the_per_entity_reference_bytes():
             entities.append(_entity_around(rng, cam_x - 3.0 * math.cos(yaw),
                                            cam_y - 3.0 * math.sin(yaw), 0.5))
         state = WorldState(robot_pose=(x, y, yaw), body=body, entities=entities)
-        got = render_observation(state, cam).image
+        got = render_observation(state, cam)
         assert got.tobytes() == render_reference(state, cam).tobytes()
 
 
@@ -196,10 +196,10 @@ def test_render_edge_cases_match_the_reference():
     for entities in ([], [on_camera], [behind], [behind, on_camera], tied, tied[::-1]):
         for pose in ((0.0, 0.0, 0.0), (0.0, -0.0, -0.0), (1e-9, 0.0, math.pi)):
             state = WorldState(robot_pose=pose, entities=entities)
-            assert (render_observation(state).image.tobytes()
+            assert (render_observation(state).tobytes()
                     == render_reference(state).tobytes())
     state = fma_edge_state()
-    assert render_observation(state).image.tobytes() == render_reference(state).tobytes()
+    assert render_observation(state).tobytes() == render_reference(state).tobytes()
     # A near face at depth fx, 0.5 m right of the axis, has its right edge at
     # exactly u = w/2 + 0.5: both round it half to even, to an empty box.
     cam = CameraConfig(forward_offset=0.0)
@@ -207,7 +207,7 @@ def test_render_edge_cases_match_the_reference():
     half_pixel = Entity(EntityKind.OBSTACLE, "cube", Color.ORANGE, (fx + 0.25, 0.0, 0.0),
                         (0.5, 1.0, 1.3))
     state = WorldState(robot_pose=(0.0, 0.0, 0.0), entities=[half_pixel])
-    image = render_observation(state, cam).image
+    image = render_observation(state, cam)
     assert image.tobytes() == render_reference(state, cam).tobytes()
     assert count_color(image, Color.ORANGE) == 0
 
@@ -223,7 +223,7 @@ def test_frame_bytes_do_not_depend_on_the_blas_kernel():
     # Each core type in its own interpreter: OpenBLAS reads the variable once.
     probe = ("import hashlib, test_render; from quadkit.world.camera import render_observation; "
              "print(hashlib.sha256(render_observation(test_render.fma_edge_state())"
-             ".image.tobytes()).hexdigest())")
+             ".tobytes()).hexdigest())")
     path = os.pathsep.join([str(Path(quadkit.__file__).resolve().parents[1]),
                             str(Path(__file__).resolve().parent)])
     digests = {}

@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from quadkit.config import SceneConfig
-from quadkit.expert import grid_from_scene, sample_scene
+from quadkit.config import RunConfig, SceneConfig
+from quadkit.expert import sample_scene
+from quadkit.expert.collect import plan_for_task
 from quadkit.taxonomy import (
     Color,
     GaitName,
@@ -115,13 +116,12 @@ def test_start_pose_is_the_arena_origin():
 
 
 def test_planning_grid_keeps_start_and_goal_reachable():
-    # Solid geometry must never wall off the task across a seed sweep.
+    # Solid geometry must never wall off the task across a seed sweep: the
+    # expert's own plan, on its own inflated grid, finds a path (it raises
+    # NoPathError otherwise).
     rng = np.random.default_rng(31)
+    run = RunConfig()
     for spec in (GO_TO, GO_AVOID, GO_THROUGH, CRAWL, UNLOAD):
         for seed in rng.integers(0, 2**31 - 1, size=25):
-            scene = sample_scene(spec, int(seed))
-            grid = grid_from_scene(scene)
-            start = grid.world_to_cell(*scene.start_pose[:2])
-            goal = grid.world_to_cell(*scene.goal_xy)
-            assert grid.nearest_free(start) is not None
-            assert grid.nearest_free(goal) is not None
+            path = plan_for_task(sample_scene(spec, int(seed)), run)
+            assert path.waypoints

@@ -335,13 +335,14 @@ def test_a_tick_that_reaches_no_record_makes_no_collision_check(checks):
     assert 0 < len(checks) <= sim.config.rates.substeps
 
 
-def test_records_rebuilt_at_a_ball_release_are_still_culled(checks):
+def test_a_ball_release_keeps_the_collision_records_and_their_culling(checks):
     tray = Entity(EntityKind.RECEPTACLE, "traybox", Color.BLUE, (3.0, 1.0, 0.0),
                   (0.7, 0.7, 0.25))
     wall = Entity(EntityKind.OBSTACLE, "cube", Color.RED, (1.2, 0.0, 0.0), (0.3, 0.3, 0.5))
     scene = Scene(task=task(Skill.UNLOAD, ObjectRef("traybox", Color.BLUE)),
                   entities=[tray, wall], target_index=0, goal_xy=(3.0, 1.0))
     sim, ref = Simulator(scene), Simulator(scene)
+    records = list(sim._records)
     # Pitch in place until the ball drops at the end of tick 2, then walk
     # into the wall, whose box starts 0.85 m ahead.
     per_tick = []
@@ -352,6 +353,8 @@ def test_records_rebuilt_at_a_ball_release_are_still_culled(checks):
         assert repr(out) == repr(want)
         assert repr(sim.state) == repr(ref.state)
     assert sim.state.ball_released
+    # The landed ball blocks nothing, so the release adds no record.
+    assert sim._records == records
     assert sim.status is Status.COLLISION
     assert per_tick[:3] == [0, 0, 0] and per_tick[3] > 0
 

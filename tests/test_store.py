@@ -427,6 +427,17 @@ def test_unknown_format_version_is_rejected(tmp_path):
         EpisodeStore.open(tmp_path / "s")
 
 
+def test_commit_rereads_and_checks_the_manifest(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    info = store.fill_shard("batch-0", [make_episode(0)])
+    manifest_path = tmp_path / "s" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["shards"] = [{"name": "other", "episodes": 1}]
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StoreError, match=r"shards\[0\]"):
+        store.commit_shards([info])
+
+
 def test_bad_outcome_and_source_are_rejected_at_construction():
     with pytest.raises(StoreError):
         make_episode(0, outcome="shrug")
