@@ -20,7 +20,6 @@ import os
 import signal
 import sys
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from importlib import resources
 from pathlib import Path
@@ -135,6 +134,10 @@ def cmd_collect(args) -> int:
     log.info("collecting %d episodes into %s (%d shards, %d workers)",
              total, root, len(shards), workers)
     if workers > 1:
+        # Imported here, as the only use: the pool pulls in multiprocessing,
+        # sockets and subprocess, which every other command would pay for.
+        from concurrent.futures import ProcessPoolExecutor
+
         # Pool workers hold SIGINT for good: each shard takes it between
         # episodes, and an idle worker prints no traceback.
         with ProcessPoolExecutor(max_workers=workers,

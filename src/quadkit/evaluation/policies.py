@@ -22,6 +22,12 @@ the previous tick's bytes and instruction within an episode is answered
 with that tick's tokens, without a second search. The neighbour contract is
 unchanged.
 
+The fit writes each episode's rows straight into one float32 block, pooling
+a frame once for each run of consecutive steps that hold the same array (the
+store's loader hands a repeated frame out as one array), and the policy keeps
+the concatenated matrix without a second copy. Its rows are each step's
+float64 features cast to float32, as a per-step fit would give them.
+
 The distance's ``features @ q`` and ``q @ q`` are the only BLAS calls in
 the package (frames are projected in plain floats). Their float32 rounding
 depends on the kernel OpenBLAS picks for the CPU, so near-tied neighbours,
@@ -116,6 +122,8 @@ class RandomPolicy:
 
 _POOL_ROWS, _POOL_COLS = 6, 8
 _SPEC_WEIGHT = 4.0  # instruction features dominate neighbor choice
+_POOL_WIDTH = _POOL_ROWS * _POOL_COLS * 3  # one mean per block and channel
+_SQ_CHUNK_ROWS = 256  # rows squared at a time when a policy is built
 
 
 def _pool_image(image: np.ndarray) -> np.ndarray:
@@ -168,11 +176,18 @@ class KnnPolicy:
         self._vocab = space.token_offset + space.bin_count
         if labels.ndim != 2 or labels.min() < 0 or labels.max() >= self._vocab:
             raise ValueError(f"labels must be token rows in [0, {self._vocab})")
-        self.features = features.astype(np.float32)
+        # A C-contiguous float32 matrix is kept as given, without a copy.
+        self.features = np.ascontiguousarray(features, dtype=np.float32)
         self.labels = labels.astype(np.int64)
         self.k = k
         self.space = space
-        self._sq = (self.features ** 2).sum(axis=1)
+        # Each row's float32 sum of squares, a chunk of rows at a time, so no
+        # whole-matrix temporary is made; a row's sum does not depend on the chunk.
+        n = self.features.shape[0]
+        self._sq = np.empty(n, dtype=np.float32)
+        for start in range(0, n, _SQ_CHUNK_ROWS):
+            rows = self.features[start:start + _SQ_CHUNK_ROWS]
+            np.square(rows).sum(axis=1, out=self._sq[start:start + _SQ_CHUNK_ROWS])
         # Position j votes in bins [j * vocab, (j + 1) * vocab) of one bincount.
         self._vote_offsets = np.arange(labels.shape[1]) * self._vocab
         self._spec_memo: tuple[str, np.ndarray] | None = None
@@ -214,17 +229,27 @@ class KnnPolicy:
 
 def knn_bc_policy(train: Iterable[Episode] | EpisodeStore, k: int = 5,
                   space: ActionSpaceSpec | None = None) -> KnnPolicy:
-    """Fit the nearest-neighbor imitator on recorded episodes."""
+    """Fit the nearest-neighbor imitator on recorded episodes, one float32
+    block per episode (see the module docstring)."""
     space = space or default_action_space()
     if isinstance(train, EpisodeStore):
         space = train.action_space
         train = train.iter_episodes()
-    feats, labels = [], []
+    blocks, labels = [], []
     for ep in train:
         spec_features = _encode_spec(ep.task)
-        for step in ep.steps:
-            feats.append(_featurize(step.image, spec_features))
+        block = np.empty((len(ep.steps), _POOL_WIDTH + spec_features.size), dtype=np.float32)
+        block[:, _POOL_WIDTH:] = spec_features
+        image = None
+        for row, step in zip(block, ep.steps):
+            if step.image is not image:
+                image = step.image
+                pooled = _pool_image(image)
+            row[:_POOL_WIDTH] = pooled
             labels.append(step.tokens)
-    if not feats:
+        blocks.append(block)
+    if not labels:
         raise ValueError("training set has no steps")
-    return KnnPolicy(np.stack(feats, dtype=np.float32), np.asarray(labels), k, space)
+    features = np.concatenate(blocks)
+    del blocks  # free the per-episode blocks before the policy is built
+    return KnnPolicy(features, np.asarray(labels), k, space)

@@ -13,7 +13,6 @@ recovers the spec (up to the dataset split tag, which text cannot carry).
 
 from __future__ import annotations
 
-import difflib
 import functools
 import json
 import re
@@ -231,6 +230,8 @@ def parse_instruction(text: str) -> Instruction:
             gait=GaitName(m.group("gait")),
         )
         return Instruction(text=normalized, spec=spec, template_id=tpl.id)
+    import difflib  # only a failed parse needs it
+
     templates, phrases = _catalog()
     skeletons = {
         tpl.render("object", phrases[SpeedLevel.NORMAL], "trot"): tpl.id

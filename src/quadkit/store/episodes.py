@@ -355,6 +355,11 @@ def _read_manifest(path: Path) -> dict:
         for key, kind in _SHARD_FIELDS.items():
             if type(shard[key]) is not kind:
                 raise StoreError(f"{path}: shards[{i}].{key} must be {_JSON_TYPES[kind]}")
+        # A shard name is joined under shards/, so it must not lead out of it.
+        name = shard["name"]
+        if not name or "/" in name or name.startswith("."):
+            raise StoreError(f"{path}: shards[{i}].name must be a file name without '/' "
+                             f"or a leading '.', got {name!r}")
     return manifest
 
 

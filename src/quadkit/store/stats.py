@@ -3,7 +3,6 @@ and speed/gait/source/outcome shares, plus text-table and SVG renderings."""
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -42,6 +41,8 @@ def _shares(counts: dict[str, int], total: int) -> dict[str, float]:
 
 
 def compute_stats(episodes: Iterable[Episode] | EpisodeStore) -> StoreStats:
+    import statistics  # here, not at import time: it pulls in decimal and fractions
+
     if isinstance(episodes, EpisodeStore):
         episodes = episodes.iter_episodes(load_images=False)
     lengths: dict[str, list[int]] = {s.value: [] for s in Skill}

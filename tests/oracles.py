@@ -20,6 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from quadkit.config import CameraConfig, SimConfig
+from quadkit.evaluation.policies import _encode_spec, _featurize
 from quadkit.expert.grid import OccupancyGrid
 from quadkit.world.camera import COLOR_RGB, GROUND_RGB, SKY_RGB
 from quadkit.world.entities import ROUND_SHAPES, SOLID_KINDS, EntityKind
@@ -149,6 +150,22 @@ def knn_reference(features: np.ndarray, labels: np.ndarray, k: int,
     votes = labels[np.argsort(d2, kind="stable")[:k]]
     return tuple(int(np.bincount(votes[:, j], minlength=vocab).argmax())
                  for j in range(votes.shape[1]))
+
+
+def knn_fit_reference(episodes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The kNN fit step by step: ``(features, sq, labels)``.
+
+    Each step's float64 ``_featurize`` row, stacked into float32; each row's
+    float32 sum of squares over the whole matrix at once; the token rows.
+    """
+    feats, labels = [], []
+    for ep in episodes:
+        spec_features = _encode_spec(ep.task)
+        for step in ep.steps:
+            feats.append(_featurize(step.image, spec_features))
+            labels.append(step.tokens)
+    features = np.stack(feats, dtype=np.float32)
+    return features, (features ** 2).sum(axis=1), np.asarray(labels).astype(np.int64)
 
 
 def block_mean_pool(image: np.ndarray, rows: int = 6, cols: int = 8) -> np.ndarray:

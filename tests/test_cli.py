@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, artifacts, config plumbing."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -9,7 +10,6 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import Future
 from dataclasses import replace
 from pathlib import Path
 
@@ -109,11 +109,12 @@ def test_collect_starts_no_more_workers_than_shards(tmp_path, monkeypatch, argv,
             return False
 
         def submit(self, fn, *args):
-            future = Future()
+            future = concurrent.futures.Future()
             future.set_result(fn(*args))
             return future
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    # cmd_collect imports the pool class inside its `workers > 1` branch.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     code, _ = run_cli("collect", "--out", str(tmp_path / "store"), "--seed", "1", *argv)
     assert code == 0
     assert pools == asked
@@ -340,6 +341,27 @@ def test_a_malformed_manifest_is_a_store_error(tmp_path, capsys, command, edit, 
     assert field in err
 
 
+@pytest.mark.parametrize("name", ["../../outside", "", ".hidden"],
+                         ids=["leaves-the-store", "empty", "leading-dot"])
+def test_a_shard_name_that_is_not_a_file_name_is_a_store_error(tmp_path, capsys, name):
+    collect_small(tmp_path / "store")
+    # The shard file is moved to where the edited name points, so only the
+    # name check stands between it and "store ok".
+    shard = next((tmp_path / "store" / "shards").glob("*.rec"))
+    shard.rename(tmp_path / "store" / "shards" / f"{name}.rec")
+    path = tmp_path / "store" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["shards"][0]["name"] = name
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code, out = run_cli("validate", "--store", str(tmp_path / "store"))
+    assert code == 1
+    assert "store ok" not in out
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "shards[0].name" in err
+
+
 def test_missing_store_is_an_operational_error(tmp_path):
     code, _ = run_cli("stats", "--store", str(tmp_path / "nowhere"))
     assert code == 1
@@ -354,11 +376,20 @@ def test_stats_svg_artifact(tmp_path):
     assert svg_path.read_text().startswith("<svg")
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is not a dependency: importing the CLI in a fresh interpreter
-    # must not pull it in.
+@pytest.mark.parametrize("module", [
+    "scipy",  # not a dependency
+    # Each is imported where its only use is: the process pool of
+    # `collect --workers > 1`, dataset statistics, a failed parse's hint.
+    "concurrent.futures.process",
+    "multiprocessing",
+    "statistics",
+    "difflib",
+])
+def test_cli_import_leaves_module_unloaded(module):
+    # Importing the CLI in a fresh interpreter, as every command does, must
+    # not pull in a module that only some commands, or none, use.
     env = dict(os.environ, PYTHONPATH=str(Path(quadkit.__file__).resolve().parents[1]))
-    probe = "import sys, quadkit.cli; print('scipy' in sys.modules)"
+    probe = f"import sys, quadkit.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
     assert out.stdout.strip() == "False"

@@ -2,6 +2,8 @@
 behavior, generalization suites, and the scaling experiment."""
 
 import json
+import tracemalloc
+from dataclasses import replace
 from importlib import resources
 from types import SimpleNamespace
 
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 from quadkit.actions import ActionTokens, default_action_space, detokenize
-from quadkit.config import RunConfig, SimConfig
+from quadkit.config import CameraConfig, RunConfig, SimConfig
 from quadkit.evaluation import (
     KnnPolicy,
     OraclePolicy,
@@ -25,12 +27,12 @@ from quadkit.evaluation.harness import BUCKETS
 from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
 from quadkit.expert import generate_episode
 from quadkit.language import LanguageError, parse_instruction, render_instruction
-from quadkit.store import MixPolicy
+from quadkit.store import EpisodeStore, MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, Split
 from quadkit.world.camera import render_observation
 from quadkit.world.sim import Simulator
 
-from oracles import block_mean_pool, knn_reference
+from oracles import block_mean_pool, knn_fit_reference, knn_reference
 
 SPACE = default_action_space()
 
@@ -464,6 +466,72 @@ def test_pool_image_equals_block_means_bit_for_bit(shape):
     for _ in range(20):
         image = rng.integers(0, 256, shape, dtype=np.uint8)
         assert _pool_image(image).tobytes() == block_mean_pool(image).tobytes()
+
+
+TRAIN_BUDGETS = {"go_to": 30, "go_avoid": 30, "distinguish": 20, "go_through": 10,
+                 "crawl": 5, "unload": 5}
+
+
+def store_of(root, budgets, run: RunConfig | None = None) -> EpisodeStore:
+    """A store of one shard of expert episodes for a ``build_suite`` draw."""
+    store = EpisodeStore.create(root, SPACE)
+    store.write_shard("train", [generate_episode(e.task, e.seed, run)
+                                for e in build_suite("train", budgets, seed=4).entries])
+    return EpisodeStore.open(root)
+
+
+@pytest.fixture(scope="module")
+def train_store(tmp_path_factory):
+    """About 900 steps: the store's loader hands a repeated frame out as one array."""
+    return store_of(tmp_path_factory.mktemp("knn") / "store", TRAIN_BUDGETS)
+
+
+def assert_fit_equals_reference(policy: KnnPolicy, episodes) -> None:
+    features, sq, labels = knn_fit_reference(episodes)
+    for got, want in ((policy.features, features), (policy._sq, sq), (policy.labels, labels)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def shared_frames(episodes) -> tuple[int, int]:
+    """(consecutive steps holding one array, consecutive steps with equal bytes)."""
+    pairs = [(a.image, b.image) for ep in episodes for a, b in zip(ep.steps, ep.steps[1:])]
+    return (sum(a is b for a, b in pairs),
+            sum(a.tobytes() == b.tobytes() for a, b in pairs))
+
+
+def test_knn_fit_on_a_store_equals_the_per_step_reference(train_store):
+    assert shared_frames(train_store.iter_episodes())[0] > 0
+    assert_fit_equals_reference(knn_bc_policy(train_store, k=5), train_store.iter_episodes())
+
+
+def test_knn_fit_on_equal_frames_in_distinct_arrays_equals_the_per_step_reference(train_store):
+    episodes = [replace(ep, steps=[replace(s, image=s.image.copy()) for s in ep.steps])
+                for ep in train_store.iter_episodes()]
+    shared, equal = shared_frames(episodes)
+    assert shared == 0 and equal > 0
+    assert_fit_equals_reference(knn_bc_policy(episodes, k=5), episodes)
+
+
+def test_knn_fit_on_a_50x67_camera_equals_the_per_step_reference(tmp_path):
+    # 50 and 67 leave remainders that the 6x8 pool grid crops.
+    run = RunConfig(sim=replace(SimConfig(), camera=CameraConfig(width=67, height=50)))
+    store = store_of(tmp_path / "store", SMALL_BUDGETS, run)
+    assert next(store.iter_episodes()).steps[0].image.shape == (50, 67, 3)
+    assert_fit_equals_reference(knn_bc_policy(store, k=1), store.iter_episodes())
+
+
+def test_knn_fit_peak_memory_stays_near_one_feature_matrix(train_store):
+    # The fit holds the per-episode blocks and their concatenation, never a
+    # per-step list of float64 rows, a second float32 copy or a whole-matrix
+    # temporary of squares (together about six times the matrix).
+    tracemalloc.start()
+    try:
+        policy = knn_bc_policy(train_store, k=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * policy.features.nbytes + 2**20
 
 
 def test_unseen_suites_preserve_budgets_and_drop_seen_colors():
