@@ -333,6 +333,7 @@ class ShardWriter:
 
 # The manifest fields that :meth:`EpisodeStore.create` writes and the fields
 # of each shard entry (:class:`ShardInfo`), with their JSON types.
+_ROOT_ENTRIES = {"manifest.json", "shards", "obs"}  # all that a store root holds
 _MANIFEST_FIELDS = {"action_space": dict, "rates": dict, "episode_count": int, "shards": list}
 _SHARD_FIELDS = {"name": str, "episodes": int, "sha256": str}
 _JSON_TYPES = {dict: "an object", list: "a list", int: "an integer", str: "a string"}
@@ -432,10 +433,14 @@ class EpisodeStore:
         return sha
 
     def load_image(self, sha: str) -> np.ndarray:
-        path = self._image_path(sha)
-        if not path.exists():
-            raise StoreError(f"missing observation {sha}")
-        return from_ppm(path.read_bytes())
+        # _image_path as a string, opened without a stat first: a fit reads
+        # every distinct frame of the store.
+        try:
+            with open(f"{self.root}/obs/{sha[:2]}/{sha}.ppm", "rb") as f:
+                data = f.read()
+        except FileNotFoundError:
+            raise StoreError(f"missing observation {sha}") from None
+        return from_ppm(data)
 
     # -- writing -----------------------------------------------------------------
 
@@ -626,8 +631,10 @@ class EpisodeStore:
 
     def _check_files(self, images: dict[str, Path]) -> list[str]:
         """Check each referenced image once (it exists and hashes to its
-        name), and list every file under ``shards/`` and ``obs/`` (temporary
-        ones too) that neither the manifest nor a record refers to."""
+        name), list every file under ``shards/`` and ``obs/`` (temporary
+        ones too) that neither the manifest nor a record refers to, and every
+        entry at the root other than ``manifest.json``, ``shards/`` and
+        ``obs/``."""
         problems = []
         for sha, path in sorted(images.items()):
             rel = f"obs/{sha[:2]}/{sha}.ppm"
@@ -641,6 +648,9 @@ class EpisodeStore:
             for path in sorted((self.root / sub).rglob("*")):
                 if path.is_file() and path not in known:
                     problems.append(f"{path.relative_to(self.root).as_posix()}: unreferenced file")
+        for path in sorted(self.root.iterdir()):
+            if path.name not in _ROOT_ENTRIES:
+                problems.append(f"{path.name}: unexpected entry at the store root")
         return problems
 
 

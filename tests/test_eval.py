@@ -23,15 +23,16 @@ from quadkit.evaluation import (
     scaling_experiment,
 )
 from quadkit.evaluation import harness, policies
-from quadkit.evaluation.harness import BUCKETS
+from quadkit.evaluation.harness import BUCKETS, EvalSuite
 from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
 from quadkit.expert import generate_episode
 from quadkit.language import LanguageError, parse_instruction, render_instruction
 from quadkit.store import EpisodeStore, MixPolicy
-from quadkit.taxonomy import SEEN_COLORS, Skill, Split
+from quadkit.taxonomy import SEEN_COLORS, Skill, SpeedLevel, Split
 from quadkit.world.camera import render_observation
 from quadkit.world.sim import Simulator
 
+from blas_kernels import run_under_each_kernel, uses_openblas
 from oracles import block_mean_pool, knn_fit_reference, knn_reference
 
 SPACE = default_action_space()
@@ -447,17 +448,123 @@ class CheckedKnn:
         return tokens
 
 
-def test_knn_rollout_with_repeated_frames_matches_the_reference_vote():
-    budgets = json.loads(
-        resources.files("quadkit.data").joinpath("suites.json").read_text())["dev_small"]
-    suite = build_suite("dev_small", budgets, seed=3)
+def test_knn_rollout_with_repeated_frames_matches_the_reference_vote(dev_small_suite):
     train = [generate_episode(e.task, e.seed)
-             for e in build_suite("train", budgets, seed=4).entries]
-    checked = CheckedKnn(knn_bc_policy(train, k=5))
+             for e in build_suite("train", suite_budgets()["dev_small"], seed=4).entries]
+    assert checked_rollout(knn_bc_policy(train, k=5), dev_small_suite).repeats >= 1
+
+
+def count_scans(policy: KnnPolicy) -> list:
+    """A list that grows by one each time the policy runs the full scan."""
+    scans = []
+    scan = policy._scan_nearest
+    policy._scan_nearest = lambda q: scans.append(q) or scan(q)
+    return scans
+
+
+def checked_rollout(policy: KnnPolicy, suite) -> CheckedKnn:
+    checked = CheckedKnn(policy)
     report = run_suite(checked, suite)
     assert report.overall.buckets["malformed"] == 0
     assert checked.agree and all(checked.agree)
-    assert checked.repeats >= 1
+    return checked
+
+
+def suite_budgets() -> dict:
+    return json.loads(resources.files("quadkit.data").joinpath("suites.json").read_text())
+
+
+def knn_kernel_probe() -> dict:
+    """Roll dev_small and a slice of seen_full with a kNN policy checked
+    against ``knn_reference`` on every tick; how often each search ran."""
+    budgets = suite_budgets()
+    train = [generate_episode(e.task, e.seed)
+             for e in build_suite("train", budgets["dev_small"], seed=4).entries]
+    policy = knn_bc_policy(train, k=5)
+    searches = []
+    search = policy._certified_nearest
+    policy._certified_nearest = lambda q: searches.append(q) or search(q)
+    scans = count_scans(policy)
+    seen_full = build_suite("seen_full", budgets["seen_full"], seed=3)
+    ticks = 0
+    for suite in (build_suite("dev_small", budgets["dev_small"], seed=3),
+                  EvalSuite("seen_full", seen_full.split, seen_full.entries[::50])):
+        ticks += len(checked_rollout(policy, suite).agree)
+    return {"ticks": ticks, "certified": len(searches) - len(scans), "scanned": len(scans)}
+
+
+@pytest.mark.skipif(not uses_openblas(), reason="numpy does not use OpenBLAS")
+def test_knn_answers_do_not_depend_on_the_blas_kernel():
+    # Every tick equals the reference vote under the same kernel, so the
+    # certified search answers as the kernel's full scan would.
+    probe = "import json, test_eval; print(json.dumps(test_eval.knn_kernel_probe()))"
+    runs = run_under_each_kernel(probe, (None, "Sandybridge", "Prescott", "Haswell"))
+    for coretype, out in runs.items():
+        counts = json.loads(out)
+        assert counts["ticks"] > 0, coretype
+        assert counts["certified"] > 0 and counts["scanned"] > 0, (coretype, counts)
+
+
+@pytest.fixture(scope="module")
+def dev_small_suite():
+    return build_suite("dev_small", suite_budgets()["dev_small"], seed=3)
+
+
+@pytest.mark.parametrize("k", ["1", "5", "more than any group"])
+def test_knn_certified_search_matches_the_reference_vote(train_store, dev_small_suite, k):
+    k = int(k) if k.isdigit() else int(knn_bc_policy(train_store, k=1)._group_sizes.max()) + 1
+    policy = knn_bc_policy(train_store, k=k)
+    scans = count_scans(policy)
+    checked = checked_rollout(policy, dev_small_suite)
+    assert len(scans) < len(checked.agree) - checked.repeats  # the certified path answered
+
+
+def test_knn_certified_search_matches_the_reference_on_unseen_specs(train_store,
+                                                                    dev_small_suite):
+    policy = knn_bc_policy(train_store, k=5)
+    suite = make_unseen_suites(dev_small_suite)["unseen_object"]
+    trained = {spec.tobytes() for spec in policy._group_specs}
+    queried = {_encode_spec(e.task).astype(np.float32).tobytes() for e in suite.entries}
+    assert queried - trained  # some query specs are absent from training
+    checked_rollout(policy, suite)
+
+
+def test_knn_search_breaks_exact_ties_across_groups_by_training_order():
+    text = render_instruction(small_suite(21).entries[0].task).text
+    spec = parse_instruction(text).spec
+    # Two training specs, each one field away from the query's: equal spec
+    # distances. Each image is recorded once in each group, so every row
+    # ties with one in the other group.
+    others = [replace(spec, speed=s) for s in SpeedLevel if s != spec.speed]
+    rng = np.random.default_rng(5)
+    images = rng.integers(0, 256, (3, 48, 64, 3), dtype=np.uint8)
+    features = np.stack([_featurize(image, _encode_spec(other))
+                         for image in images for other in others])
+    labels = rng.integers(0, 3, (len(features), 12))
+    vocab = SPACE.token_offset + SPACE.bin_count
+    for k in range(1, 5):
+        policy = KnnPolicy(features, labels, k, SPACE)
+        for image in images:
+            query = _featurize(image, _encode_spec(spec)).astype(np.float32)
+            assert (policy.act(SimpleNamespace(image=image), text).tokens
+                    == knn_reference(features, labels, k, query, vocab))
+
+
+def test_knn_rows_one_ulp_apart_take_the_full_scan():
+    text = render_instruction(small_suite(21).entries[0].task).text
+    image = np.random.default_rng(6).integers(0, 256, (48, 64, 3), dtype=np.uint8)
+    row = _featurize(image, _encode_spec(parse_instruction(text).spec)).astype(np.float32)
+    nudged = row.copy()
+    nudged[7] = np.nextafter(nudged[7], np.float32(2.0))  # one ulp in one pooled cell
+    features = np.stack([nudged, row, nudged, row])
+    labels = np.arange(4)[:, None].repeat(12, axis=1)
+    vocab = SPACE.token_offset + SPACE.bin_count
+    for k in (1, 3):
+        policy = KnnPolicy(features, labels, k, SPACE)
+        scans = count_scans(policy)
+        assert (policy.act(SimpleNamespace(image=image), text).tokens
+                == knn_reference(features, labels, k, row, vocab))
+        assert len(scans) == 1
 
 
 @pytest.mark.parametrize("shape", [(48, 64, 3), (50, 67, 3), (6, 8, 3), (13, 23, 3)])

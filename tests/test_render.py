@@ -1,15 +1,10 @@
 """First-person rendering: determinism, projection geometry, PPM codec."""
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import quadkit
 from quadkit.config import CameraConfig
 from quadkit.taxonomy import Color
 from quadkit.world.camera import (
@@ -23,6 +18,7 @@ from quadkit.world.camera import (
 from quadkit.world.entities import Entity, EntityKind
 from quadkit.world.state import BodyState, WorldState
 
+from blas_kernels import run_under_each_kernel, uses_openblas
 from oracles import render_reference
 
 
@@ -212,27 +208,10 @@ def test_render_edge_cases_match_the_reference():
     assert count_color(image, Color.ORANGE) == 0
 
 
-def _uses_openblas() -> bool:
-    config = getattr(np.__config__, "CONFIG", {})
-    blas = config.get("Build Dependencies", {}).get("blas", {})
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
-@pytest.mark.skipif(not _uses_openblas(), reason="numpy does not use OpenBLAS")
+@pytest.mark.skipif(not uses_openblas(), reason="numpy does not use OpenBLAS")
 def test_frame_bytes_do_not_depend_on_the_blas_kernel():
-    # Each core type in its own interpreter: OpenBLAS reads the variable once.
     probe = ("import hashlib, test_render; from quadkit.world.camera import render_observation; "
              "print(hashlib.sha256(render_observation(test_render.fma_edge_state())"
              ".tobytes()).hexdigest())")
-    path = os.pathsep.join([str(Path(quadkit.__file__).resolve().parents[1]),
-                            str(Path(__file__).resolve().parent)])
-    digests = {}
-    for coretype in (None, "Sandybridge", "Prescott"):
-        env = dict(os.environ, PYTHONPATH=path)
-        env.pop("OPENBLAS_CORETYPE", None)
-        if coretype:
-            env["OPENBLAS_CORETYPE"] = coretype
-        out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                             text=True, timeout=120, check=True)
-        digests[coretype] = out.stdout.strip()
+    digests = run_under_each_kernel(probe, (None, "Sandybridge", "Prescott"))
     assert digests == dict.fromkeys(digests, FMA_EDGE_SHA256)

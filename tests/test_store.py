@@ -161,6 +161,29 @@ def test_validate_lists_unreferenced_files(tmp_path, stray):
     assert EpisodeStore.open(tmp_path / "s").validate() == [f"{stray}: unreferenced file"]
 
 
+def test_validate_lists_stray_entries_at_the_store_root(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    store.write_shard("batch-0", [make_episode(0)])
+    (tmp_path / "s" / "stray.txt").write_bytes(b"stray")
+    (tmp_path / "s" / "manifest.json.tmp").write_bytes(b"{}")
+    assert EpisodeStore.open(tmp_path / "s").validate() == [
+        "manifest.json.tmp: unexpected entry at the store root",
+        "stray.txt: unexpected entry at the store root",
+    ]
+
+
+def test_load_image_of_a_missing_observation_is_a_store_error(tmp_path):
+    store = EpisodeStore.create(tmp_path / "s", SPACE)
+    store.write_shard("batch-0", [make_episode(0)])
+    victim = next((tmp_path / "s" / "obs").rglob("*.ppm"))
+    assert store.load_image(victim.stem).shape == (6, 8, 3)
+    victim.unlink()
+    with pytest.raises(StoreError, match=f"^missing observation {victim.stem}$"):
+        store.load_image(victim.stem)
+    with pytest.raises(StoreError, match="missing observation"):
+        list(store.iter_episodes())
+
+
 def test_validate_catches_count_drift(tmp_path):
     store = EpisodeStore.create(tmp_path / "s", SPACE)
     store.write_shard("batch-0", [make_episode(0)])
