@@ -111,6 +111,10 @@ def cmd_collect(args) -> int:
     root = Path(args.out)
     if (root / "manifest.json").exists():
         store = EpisodeStore.open(root)
+        rates = asdict(run.sim.rates)
+        if store.rates != rates:
+            raise UsageError(f"the run config's rates {rates} differ from the rates "
+                             f"{store.rates} of the store at {root}")
     else:
         store = EpisodeStore.create(root, space, run.sim.rates)
 
@@ -227,7 +231,7 @@ def cmd_eval(args) -> int:
     policy = _build_policy(args.policy, run, space, args.seed, args.knn_k)
     log.info("evaluating %s on %s (%d episodes)", args.policy, suite.name,
              len(suite.entries))
-    report = run_suite(policy, suite, run, space)
+    report = run_suite(policy, suite, run, policy.space)  # a store's, for knn
     print(report.to_table(), end="")
     if args.out:
         out = Path(args.out)

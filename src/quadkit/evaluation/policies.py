@@ -407,6 +407,24 @@ class KnnPolicy:
         return tokens
 
 
+def _episode_rows(ep: Episode) -> tuple[np.ndarray, np.ndarray]:
+    """A non-empty episode's float32 feature block and its int64 token rows.
+
+    A frame is pooled once for each run of consecutive steps that hold the
+    same array (the store's loader hands a repeated frame out as one array).
+    """
+    spec_features = _encode_spec(ep.task)
+    block = np.empty((len(ep.steps), _POOL_WIDTH + spec_features.size), dtype=np.float32)
+    block[:, _POOL_WIDTH:] = spec_features
+    image = None
+    for row, step in zip(block, ep.steps):
+        if step.image is not image:
+            image = step.image
+            pooled = _pool_image(image)
+        row[:_POOL_WIDTH] = pooled
+    return block, np.array([step.tokens for step in ep.steps], dtype=np.int64)
+
+
 def knn_bc_policy(train: Iterable[Episode] | EpisodeStore, k: int = 5,
                   space: ActionSpaceSpec | None = None) -> KnnPolicy:
     """Fit the nearest-neighbor imitator on recorded episodes, one float32
@@ -415,21 +433,10 @@ def knn_bc_policy(train: Iterable[Episode] | EpisodeStore, k: int = 5,
     if isinstance(train, EpisodeStore):
         space = train.action_space
         train = train.iter_episodes()
-    blocks, labels = [], []
-    for ep in train:
-        spec_features = _encode_spec(ep.task)
-        block = np.empty((len(ep.steps), _POOL_WIDTH + spec_features.size), dtype=np.float32)
-        block[:, _POOL_WIDTH:] = spec_features
-        image = None
-        for row, step in zip(block, ep.steps):
-            if step.image is not image:
-                image = step.image
-                pooled = _pool_image(image)
-            row[:_POOL_WIDTH] = pooled
-            labels.append(step.tokens)
-        blocks.append(block)
-    if not labels:
+    fitted = [_episode_rows(ep) for ep in train if ep.steps]
+    if not fitted:
         raise ValueError("training set has no steps")
-    features = np.concatenate(blocks)
-    del blocks  # free the per-episode blocks before the policy is built
-    return KnnPolicy(features, np.asarray(labels), k, space)
+    features = np.concatenate([block for block, _ in fitted])
+    labels = np.concatenate([tokens for _, tokens in fitted])
+    del fitted  # free the per-episode blocks before the policy is built
+    return KnnPolicy(features, labels, k, space)

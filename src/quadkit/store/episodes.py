@@ -413,6 +413,11 @@ class EpisodeStore:
         return ActionSpaceSpec.from_dict(self._manifest["action_space"])
 
     @property
+    def rates(self) -> dict:
+        """The manifest's ``{"f_high": ..., "f_low": ...}``."""
+        return dict(self._manifest["rates"])
+
+    @property
     def shards(self) -> list[ShardInfo]:
         return [ShardInfo(**s) for s in self._manifest["shards"]]
 

@@ -28,8 +28,9 @@ from quadkit.evaluation import (
     build_suite,
     make_unseen_suites,
     run_suite,
+    scaling_experiment,
 )
-from quadkit.evaluation.policies import _encode_spec, _featurize
+from quadkit.evaluation.policies import _episode_rows
 from quadkit.expert import (
     DStarLitePlanner,
     NoPathError,
@@ -293,11 +294,7 @@ def _pool_with_features(skill: Skill, count: int, rng, source: str, feats: dict)
             if ep.steps and ep.episode_id not in feats:
                 break
             seed = (seed + 1) % (2**31 - 1)
-        feats[ep.episode_id] = (
-            np.stack([_featurize(st.image, _encode_spec(ep.task))
-                      for st in ep.steps]).astype(np.float32),
-            np.asarray([st.tokens for st in ep.steps], dtype=np.int64),
-        )
+        feats[ep.episode_id] = _episode_rows(ep)
         stubs.append(Episode(ep.episode_id, ep.task, ep.instruction,
                              ep.template_id, source, ep.seed, ep.outcome, []))
     return stubs
@@ -322,31 +319,26 @@ def test_c7_baseline_ordering():
         _pool_with_features(Skill.GO_AVOID, 15, rng, "real", feats),
     )
 
-    regimes = (("0:30", 0), ("256:30", 256), ("2560:30", 2560))
-    sr = {
-        "oracle": {"go_to": [], "go_avoid": []},
-        "random": {"go_to": [], "go_avoid": []},
-        **{label: {"go_to": [], "go_avoid": []} for label, _ in regimes},
-    }
+    def fit(stream):
+        return KnnPolicy(np.concatenate([feats[ep.episode_id][0] for ep in stream]),
+                         np.concatenate([feats[ep.episode_id][1] for ep in stream]), 5, SPACE)
+
+    regimes = [(label, MixPolicy(n_sim, 30))
+               for label, n_sim in (("0:30", 0), ("256:30", 256), ("2560:30", 2560))]
+    reports: dict[str, list] = {}
     for s in range(5):
         suite = build_suite("baselines", {"go_to": 16, "go_avoid": 16},
                             seed=9000 + s)
-        for name, policy in (("oracle", OraclePolicy()),
-                             ("random", RandomPolicy(SPACE, seed=s))):
-            rep = run_suite(policy, suite)
-            sr[name]["go_to"].append(rep.success_rate("go_to"))
-            sr[name]["go_avoid"].append(rep.success_rate("go_avoid"))
-        for label, n_sim in regimes:
-            stream = mix_stream(MixPolicy(n_sim, 30), sim_stubs, real_stubs, seed=s)
-            features = np.concatenate([feats[ep.episode_id][0] for ep in stream])
-            labels = np.concatenate([feats[ep.episode_id][1] for ep in stream])
-            rep = run_suite(KnnPolicy(features, labels, 5, SPACE), suite)
-            sr[label]["go_to"].append(rep.success_rate("go_to"))
-            sr[label]["go_avoid"].append(rep.success_rate("go_avoid"))
+        for name, rep in (("oracle", run_suite(OraclePolicy(), suite)),
+                          ("random", run_suite(RandomPolicy(SPACE, seed=s), suite)),
+                          *scaling_experiment(fit, regimes, sim_stubs, real_stubs, suite,
+                                              seed=s).rows):
+            reports.setdefault(name, []).append(rep)
 
     med = {
-        name: {skill: statistics.median(vals) for skill, vals in per.items()}
-        for name, per in sr.items()
+        name: {skill: statistics.median(rep.success_rate(skill) for rep in reps)
+               for skill in ("go_to", "go_avoid")}
+        for name, reps in reports.items()
     }
     ordering_ok = all(
         med["oracle"][skill] > med["256:30"][skill] > med["random"][skill]

@@ -33,7 +33,7 @@ from quadkit.store import EpisodeStore
 from quadkit.taxonomy import Skill, Split
 
 from test_import import good_episode
-from test_store import store_with_edited_record
+from test_store import store_with_edited_record, tree_bytes
 
 
 def run_cli(*argv: str) -> tuple[int, str]:
@@ -41,13 +41,6 @@ def run_cli(*argv: str) -> tuple[int, str]:
     with contextlib.redirect_stdout(buf):
         code = main(list(argv))
     return code, buf.getvalue()
-
-
-def tree_bytes(root: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(root)): p.read_bytes()
-        for p in sorted(root.rglob("*")) if p.is_file()
-    }
 
 
 def collect_small(out: Path, *extra: str) -> tuple[int, str]:
@@ -164,6 +157,22 @@ def test_eval_writes_deterministic_csv(tmp_path):
     assert out_a == out_b
 
 
+def test_knn_eval_decodes_under_the_stores_action_space(tmp_path):
+    # Tokens shifted by an offset vote and decode as the default ones do.
+    EpisodeStore.create(tmp_path / "shifted", default_action_space(token_offset=17))
+    csvs = []
+    for name in ("shifted", "default"):
+        store = str(tmp_path / name)
+        assert run_cli("collect", "--out", store, "--task", "go_to", "--count", "6",
+                       "--seed", "1")[0] == 0
+        assert run_cli("eval", "--policy", f"knn:{store}", "--suite", "dev_small",
+                       "--seed", "3", "--out", str(tmp_path / f"{name}-eval"))[0] == 0
+        csvs.append((tmp_path / f"{name}-eval" / "report.csv").read_bytes())
+    assert csvs[0] == csvs[1]
+    header, *_, overall = csvs[0].decode().splitlines()
+    assert dict(zip(header.split(","), overall.split(",")))["malformed"] == "0"
+
+
 def test_eval_accepts_budget_files_and_unseen_splits(tmp_path):
     budgets = tmp_path / "budgets.json"
     budgets.write_text(json.dumps({"go_to": 2}))
@@ -225,6 +234,20 @@ def test_out_of_range_integer_flags_are_usage_errors(tmp_path, capsys, command, 
     assert len(errors) == 1 and f"argument {flag}:" in errors[0]
     assert captured.out == ""
     assert not store.exists() and not (tmp_path / "report").exists()
+
+
+def test_collect_with_rates_other_than_the_stores_is_a_usage_error(tmp_path, capsys):
+    store = tmp_path / "store"
+    assert collect_small(store)[0] == 0
+    before = tree_bytes(store)
+    config = tmp_path / "rates.json"
+    config.write_text(json.dumps({"sim": {"rates": {"f_high": 40.0, "f_low": 4.0}}}))
+    code, _ = run_cli("--config", str(config), "collect", "--out", str(store),
+                      "--task", "go_avoid", "--count", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'f_high': 40.0, 'f_low': 4.0" in err and "'f_high': 50.0, 'f_low': 2.0" in err
+    assert tree_bytes(store) == before
 
 
 def test_bad_config_is_a_usage_error(tmp_path):
