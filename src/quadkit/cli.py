@@ -236,7 +236,13 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.csv").write_text(report.to_csv())
+        tmp = out / "report.csv.tmp"  # a write that stops part-way keeps the last report
+        try:
+            tmp.write_text(report.to_csv())
+            os.replace(tmp, out / "report.csv")
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         log.info("wrote %s", out / "report.csv")
     return 0
 

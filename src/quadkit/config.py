@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .taxonomy import BASIC_SHAPES, INDOOR_FURNITURE, OUTDOOR_FACILITIES, UNSEEN_CATEGORIES
+
 # Per-dimension command envelope: (name, min, max, unit). Chosen as a
 # plausible envelope for a ~25 cm standing-height robot; override via the
 # action-space config file if the platform differs.
@@ -217,11 +219,18 @@ class RunConfig:
     expert: ExpertConfig = field(default_factory=ExpertConfig)
 
 
+# The keys scenes._dims_for can look up in each table (a shape variant as its
+# base); it reads shape_dims, which always holds the basic shapes, first.
+_OBJECTS = INDOOR_FURNITURE + OUTDOOR_FACILITIES + UNSEEN_CATEGORIES
+_TABLE_KEYS = {"scene.shape_dims": BASIC_SHAPES + _OBJECTS, "scene.furniture_dims": _OBJECTS}
+
+
 def _value(value, default, path: str):
     """``value`` from JSON, checked against the type of ``default``.
 
     An int may stand in for a float and a JSON list for a tuple of the same
-    length; anything else raises ValueError naming the dotted path.
+    length, and a table's entries merge into its default; anything else, or
+    a table key no lookup reads, raises ValueError naming the dotted path.
     """
     if dataclasses.is_dataclass(default):
         return _build(type(default), value, f"{path}.")
@@ -233,9 +242,14 @@ def _value(value, default, path: str):
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config value '{path}' must be a JSON object")
-        # A key the default lacks takes the shape of the default's first entry.
+        # The entries merge into the default table; a new key takes the shape
+        # of the default's first entry.
+        for key in value:
+            if key not in _TABLE_KEYS.get(path, default):
+                raise ValueError(f"unknown config key '{path}.{key}'")
         sample = next(iter(default.values()))
-        return {k: _value(v, default.get(k, sample), f"{path}.{k}") for k, v in value.items()}
+        return {**default,
+                **{k: _value(v, default.get(k, sample), f"{path}.{k}") for k, v in value.items()}}
     expected = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
         raise ValueError(

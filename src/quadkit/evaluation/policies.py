@@ -22,16 +22,21 @@ instruction within an episode is answered with that tick's tokens, without a
 second search.
 
 The search reads only the rows near the query's instruction. Rows are
-grouped by the bytes of their spec columns, and a query visits the groups in
-order of their float64 spec distance to its own spec, ties by first row (the
-order is kept per instruction). For a visited row it computes ``S = f . q``
-in float64, where each product of float32 values is exact, and from it an
-interval that holds ``sq - 2 * dot`` for any kernel: a float32 dot product of
-m non-zero, non-negative terms lies within ``gamma_m * S`` of the exact sum
-(Higham, Accuracy and Stability of Numerical Algorithms, 3.1). A row is at
-least its spec distance from the query, so the search stops before the first
-group whose bound, that distance less ``q.q`` and the rounding terms, exceeds
-the k-th smallest upper bound. The answer is certified when exactly k rows
+grouped by the bytes of their spec columns. The first ``act`` with an
+instruction (after ``bind``) builds its one record: its encoded spec, the
+groups in order of their float64 spec distance to it, ties by first row,
+those distances rounded down, and how many of the first groups hold k rows.
+For a visited row the search computes ``S = f . q`` in float64, where each
+product of float32 values is exact, and from it an interval that holds
+``sq - 2 * dot`` for any kernel: a float32 dot product of m non-zero,
+non-negative terms lies within ``gamma_m * S`` of the exact sum (Higham,
+Accuracy and Stability of Numerical Algorithms, 3.1). A row is at least its
+spec distance from the query, so a group whose bound, that distance less
+``q.q`` and the rounding terms, exceeds the k-th smallest upper bound holds
+no neighbour. The search visits groups in rounds: it starts with as many as
+the previous search of the episode needed, and each round recomputes the
+k-th upper bound and extends to every group whose bound does not exceed it,
+until no more are needed. The answer is certified when exactly k rows
 have a lower bound at or below that upper bound and the gap to every other
 bound is wider than the two float32 roundings that turn ``sq - 2 * dot`` into
 the distance, which rises with it: those k rows are then the kernel's own
@@ -242,8 +247,8 @@ class KnnPolicy:
             np.square(rows).sum(axis=1, out=self._sq[start:start + _SQ_CHUNK_ROWS])
         # Position j votes in bins [j * vocab, (j + 1) * vocab) of one bincount.
         self._vote_offsets = np.arange(labels.shape[1]) * self._vocab
-        self._spec_memo: tuple[str, np.ndarray] | None = None
-        self._visit_memo: tuple[bytes, tuple] | None = None
+        # (instruction, spec, order, low, first) of the instruction in play.
+        self._record: tuple[str, np.ndarray, list[int], np.ndarray, int] | None = None
         self._reach = 0  # spec groups the last search needed
         self._last: tuple[tuple, ActionTokens] | None = None
         # The certified search (module docstring).
@@ -259,46 +264,31 @@ class KnnPolicy:
         self._pad = 2.0 ** -23 * self._f_max + _TINY
 
     def bind(self, sim: Simulator) -> None:
-        self._spec_memo = None
-        self._visit_memo = None
-        self._reach = 0
+        self._record = None
         self._last = None
 
-    def _spec_features(self, instruction: str) -> np.ndarray:
-        # The instruction is constant within an episode, so parse it once. A
-        # failed parse raises on every call and is never memoised.
-        if self._spec_memo is None or self._spec_memo[0] != instruction:
-            spec = parse_instruction(instruction).spec
-            self._spec_memo = (instruction, _encode_spec(spec))
-        return self._spec_memo[1]
-
-    def _visit_order(self, spec: np.ndarray) -> tuple[list[int], np.ndarray, int]:
-        """``(order, low, first)`` for a query's float32 spec columns,
-        memoised per spec (it changes with the instruction).
-
-        ``order`` lists the groups by ascending float64 spec distance, ties
-        by first row, ``low[i]`` is the spec distance of group ``order[i]``
-        rounded down, and the first ``first`` groups hold at least k rows.
+    def _instruction(self, instruction: str) -> np.ndarray:
+        """The instruction's ``_encode_spec``, from its record (module
+        docstring), which the first call with it builds: ``low[i]`` is the
+        spec distance of group ``order[i]`` rounded down, and the first
+        ``first`` groups hold at least k rows. A failed parse stores nothing.
         """
-        key = spec.tobytes()
-        if self._visit_memo is None or self._visit_memo[0] != key:
-            diff = self._group_specs - spec.astype(np.float64)
+        if self._record is None or self._record[0] != instruction:
+            spec = _encode_spec(parse_instruction(instruction).spec)
+            # Every spec entry is 0 or 4, so these are the float32 query's distances.
+            diff = self._group_specs - spec
             dist = np.square(diff, out=diff).sum(axis=1)
             order = np.argsort(dist, kind="stable")
             first = int(np.cumsum(self._group_sizes[order]).searchsorted(self.k)) + 1
-            self._visit_memo = (key, (order.tolist(), dist[order] * (1.0 - _SLACK), first))
+            self._record = (instruction, spec, order.tolist(), dist[order] * (1.0 - _SLACK),
+                            first)
             self._reach = 0
-        return self._visit_memo[1]
+        return self._record[1]
 
-    def _rows_of(self, groups: list[int]) -> np.ndarray:
-        rows, starts = self._group_rows, self._group_starts
-        if len(groups) == 1:
-            return rows[starts[groups[0]]:starts[groups[0] + 1]]
-        return np.concatenate([rows[starts[g]:starts[g + 1]] for g in groups])
-
-    def _estimates(self, rows: np.ndarray, q2: np.ndarray) -> tuple[np.ndarray, float]:
-        """``sq - 2 * S`` of ``rows`` in float64, and the largest ``S``, for
-        ``q2 = 2 * q`` in float64 (exact, as is ``2 * S``).
+    def _estimates(self, groups: list[int],
+                   q2: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """The rows of ``groups``, their ``sq - 2 * S`` rounded to float32, and
+        the largest ``S``, for ``q2 = 2 * q`` in float64 (exact, as is ``2 * S``).
 
         ``S = sum f_j q_j`` is computed in float64, where each product of
         float32 values is exact. Any float32 ``dot`` is within
@@ -307,23 +297,25 @@ class KnnPolicy:
         of Numerical Algorithms, 3.1, in any summation order, with or without
         FMA; a zero term adds no rounding).
         """
-        if rows.size <= _DOT_CHUNK_ROWS:
-            s2 = self.features.take(rows, axis=0).astype(np.float64) @ q2
-        else:  # a chunk of rows at a time, so no large float64 temporary is made
-            s2 = np.concatenate([self.features.take(rows[at:at + _DOT_CHUNK_ROWS], axis=0)
-                                 .astype(np.float64) @ q2
-                                 for at in range(0, rows.size, _DOT_CHUNK_ROWS)])
-        return self._sq.take(rows) - s2, 0.5 * float(s2.max())
+        starts = self._group_starts
+        runs = [self._group_rows[starts[g]:starts[g + 1]] for g in groups]
+        rows = runs[0] if len(runs) == 1 else np.concatenate(runs)
+        # A chunk of rows at a time, so no large float64 temporary is made.
+        s2 = [self.features.take(rows[at:at + _DOT_CHUNK_ROWS], axis=0).astype(np.float64) @ q2
+              for at in range(0, rows.size, _DOT_CHUNK_ROWS)]
+        s2 = s2[0] if len(s2) == 1 else np.concatenate(s2)
+        return rows, (self._sq.take(rows) - s2).astype(np.float32), 0.5 * float(s2.max())
 
     def _certified_nearest(self, q: np.ndarray) -> np.ndarray | None:
-        """The k nearest rows from a search over the nearest spec groups, or
-        None when the bounds cannot prove them the full scan's answer."""
+        """The k nearest rows from a search over the nearest spec groups of
+        the instruction in play, or None when the bounds cannot prove them
+        the full scan's answer."""
         k = self.k
         qq = float(q @ q)
         if not (self._certified and 0.0 <= qq < _CERTIFIED_MAX
                 and np.count_nonzero(q >= 0.0) == q.size):
             return None
-        order, low, first = self._visit_order(q[_POOL_WIDTH:])
+        _, _, order, low, first = self._record
         # gamma_m of m non-zero products, widened to cover the float64 S
         # (whose own gamma_m is 2^-29 of this). Then ||q||^2 <= qq_up.
         m = int(np.count_nonzero(q))
@@ -341,26 +333,19 @@ class KnnPolicy:
         slope = 2.0 * gamma + 2.0 ** -22
         q2 = np.multiply(q, 2.0, dtype=np.float64)
         # Start with as many groups as the previous search in this episode
-        # needed: the frames of consecutive ticks are alike.
-        visited = max(first, self._reach)
-        rows = self._rows_of(order[:visited])
-        e, s_max = self._estimates(rows, q2)
-        e = e.astype(np.float32)
-        half = slope * s_max + self._pad
-        part = np.partition(e, k - 1)
-        kth = float(part[k - 1]) + half
-        # Visit every group whose bound does not exceed the k-th upper bound.
-        needed = max(first, int(low.searchsorted(kth + margin, side="right")))
-        if needed > visited:
-            more = self._rows_of(order[visited:needed])
-            more_e, more_max = self._estimates(more, q2)
-            rows = np.concatenate([rows, more])
-            e = np.concatenate([e, more_e.astype(np.float32)])
-            half = slope * max(s_max, more_max) + self._pad
+        # needed (the frames of consecutive ticks are alike), then visit every
+        # group whose bound does not exceed the k-th upper bound.
+        visited, needed = 0, max(first, self._reach)
+        while needed > visited:
+            more = self._estimates(order[visited:needed], q2)
+            rows, e, s_max = (np.concatenate([rows, more[0]]), np.concatenate([e, more[1]]),
+                              max(s_max, more[2])) if visited else more
+            visited = needed
+            half = slope * s_max + self._pad
             part = np.partition(e, k - 1)
             kth = float(part[k - 1]) + half
-            visited = needed
-        self._reach = needed
+            needed = int(low.searchsorted(kth + margin, side="right"))
+        self._reach = max(first, needed)
         # The k smallest estimates are the answer if the next one's lower
         # bound, and that of the first group not visited, lie above the k-th
         # upper bound.
@@ -396,7 +381,7 @@ class KnnPolicy:
         key = (instruction, image.shape, image.dtype.str, image.tobytes())
         if self._last is not None and self._last[0] == key:
             return self._last[1]
-        q = _featurize(image, self._spec_features(instruction)).astype(np.float32)
+        q = _featurize(image, self._instruction(instruction)).astype(np.float32)
         nearest = self._certified_nearest(q)
         if nearest is None:
             nearest = self._scan_nearest(q)

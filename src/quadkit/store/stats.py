@@ -40,40 +40,34 @@ def _shares(counts: dict[str, int], total: int) -> dict[str, float]:
     return {k: (v / total if total else 0.0) for k, v in sorted(counts.items())}
 
 
-def compute_stats(episodes: Iterable[Episode] | EpisodeStore) -> StoreStats:
-    import statistics  # here, not at import time: it pulls in decimal and fractions
+def _median(lengths: list[int]) -> float:
+    ordered = sorted(lengths)
+    mid = len(ordered) // 2
+    return float(ordered[mid]) if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2
 
+
+def compute_stats(episodes: Iterable[Episode] | EpisodeStore) -> StoreStats:
     if isinstance(episodes, EpisodeStore):
         episodes = episodes.iter_episodes(load_images=False)
     lengths: dict[str, list[int]] = {s.value: [] for s in Skill}
-    per_task = {s.value: TaskStats() for s in Skill}
+    success = dict.fromkeys(lengths, 0)
     speed = {s.value: 0 for s in SpeedLevel}
     gait = {g.value: 0 for g in GaitName}
     source: dict[str, int] = {}
     outcome: dict[str, int] = {}
-    total = 0
-    total_steps = 0
     for ep in episodes:
-        total += 1
-        total_steps += len(ep)
-        t = per_task[ep.task.skill.value]
-        t.count += 1
-        t.steps += len(ep)
-        t.success += ep.outcome == "success"
         lengths[ep.task.skill.value].append(len(ep))
+        success[ep.task.skill.value] += ep.outcome == "success"
         speed[ep.task.speed.value] += 1
         gait[ep.task.gait.value] += 1
         source[ep.source] = source.get(ep.source, 0) + 1
         outcome[ep.outcome] = outcome.get(ep.outcome, 0) + 1
-    for name, ls in lengths.items():
-        t = per_task[name]
-        if ls:
-            t.mean_length = statistics.fmean(ls)
-            t.median_length = float(statistics.median(ls))
-    per_task = {k: v for k, v in per_task.items() if v.count}
+    per_task = {name: TaskStats(len(ls), sum(ls), success[name], sum(ls) / len(ls), _median(ls))
+                for name, ls in lengths.items() if ls}
+    total = sum(t.count for t in per_task.values())
     return StoreStats(
         total_episodes=total,
-        total_steps=total_steps,
+        total_steps=sum(t.steps for t in per_task.values()),
         per_task=per_task,
         speed_shares=_shares(speed, total),
         gait_shares=_shares(gait, total),

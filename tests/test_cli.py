@@ -418,17 +418,37 @@ def test_cli_import_leaves_module_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
-@pytest.mark.parametrize("config", [
-    {"sim": {"max_tick": 3}, "simm": {}},
-    {"sim": {"rates": {"f_hgh": 50.0}}},
-])
-def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config):
+@pytest.mark.parametrize("config, key", [
+    ({"sim": {"max_tick": 3}, "simm": {}}, "sim.max_tick"),
+    ({"sim": {"rates": {"f_hgh": 50.0}}}, "sim.rates.f_hgh"),
+    ({"scene": {"furniture_dims": {"sofaa": [0.8, 1.6, 0.7]}}}, "scene.furniture_dims.sofaa"),
+], ids=["config0", "config1", "config2"])
+def test_unknown_config_keys_are_usage_errors(tmp_path, capsys, config, key):
     bad = tmp_path / "typo.json"
     bad.write_text(json.dumps(config))
     code, _ = run_cli("--config", str(bad), "eval", "--policy", "oracle",
                       "--suite", "dev_small")
     assert code == 2
-    assert "unknown config key 'sim." in capsys.readouterr().err
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+
+
+def test_eval_out_keeps_the_last_report_when_a_write_stops_part_way(tmp_path, monkeypatch):
+    out = tmp_path / "report"
+    argv = ["eval", "--policy", "random", "--suite", "dev_small", "--out", str(out)]
+    assert run_cli(*argv, "--seed", "3")[0] == 0
+    before = (out / "report.csv").read_bytes()
+    write_text = Path.write_text
+
+    def stops_part_way(path, data, *args, **kwargs):
+        write_text(path, data[: len(data) // 2], *args, **kwargs)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", stops_part_way)
+    code, _ = run_cli(*argv, "--seed", "4")
+    monkeypatch.undo()
+    assert code == 1
+    assert (out / "report.csv").read_bytes() == before
+    assert [p.name for p in out.iterdir()] == ["report.csv"]
 
 
 def test_config_value_of_the_wrong_type_is_a_usage_error(tmp_path, capsys):

@@ -1,8 +1,10 @@
 """Scene sampling: per-skill layout invariants and determinism."""
 
+import json
+
 import numpy as np
 
-from quadkit.config import RunConfig, SceneConfig
+from quadkit.config import RunConfig, SceneConfig, load_config
 from quadkit.expert import sample_scene
 from quadkit.expert.collect import plan_for_task
 from quadkit.taxonomy import (
@@ -125,3 +127,15 @@ def test_planning_grid_keeps_start_and_goal_reachable():
         for seed in rng.integers(0, 2**31 - 1, size=25):
             path = plan_for_task(sample_scene(spec, int(seed)), run)
             assert path.waypoints
+
+
+def test_a_dims_table_override_merges_into_the_defaults(tmp_path):
+    # Restating the sofa's default must leave every other category's dims.
+    path = tmp_path / "sofa.json"
+    path.write_text(json.dumps({"scene": {"furniture_dims": {"sofa": [0.8, 1.6, 0.7]}}}))
+    scene = load_config(path).scene
+    bookshelf = task(Skill.GO_TO, ObjectRef("bookshelf", None))
+    target = sample_scene(bookshelf, 7, scene).entities[0]
+    assert target.kind is EntityKind.TARGET_OBJECT and target.shape == "bookshelf"
+    assert target.dims == SceneConfig().furniture_dims["bookshelf"] == (0.4, 0.8, 1.2)
+    assert scene == SceneConfig()
