@@ -146,6 +146,16 @@ class SceneConfig:
     })
     default_dims: tuple[float, float, float] = (0.4, 0.4, 0.4)
 
+    def __post_init__(self):
+        # A dims table merges into its default; a key no lookup reads is a typo.
+        for name, keys in _TABLE_KEYS.items():
+            table = getattr(self, name)
+            for key in table:
+                if key not in keys:
+                    raise ValueError(f"unknown config key 'scene.{name}.{key}'")
+            default = self.__dataclass_fields__[name].default_factory()
+            object.__setattr__(self, name, {**default, **table})
+
 
 @dataclass(frozen=True)
 class SpeedBands:
@@ -222,15 +232,15 @@ class RunConfig:
 # The keys scenes._dims_for can look up in each table (a shape variant as its
 # base); it reads shape_dims, which always holds the basic shapes, first.
 _OBJECTS = INDOOR_FURNITURE + OUTDOOR_FACILITIES + UNSEEN_CATEGORIES
-_TABLE_KEYS = {"scene.shape_dims": BASIC_SHAPES + _OBJECTS, "scene.furniture_dims": _OBJECTS}
+_TABLE_KEYS = {"shape_dims": BASIC_SHAPES + _OBJECTS, "furniture_dims": _OBJECTS}
 
 
 def _value(value, default, path: str):
     """``value`` from JSON, checked against the type of ``default``.
 
     An int may stand in for a float and a JSON list for a tuple of the same
-    length, and a table's entries merge into its default; anything else, or
-    a table key no lookup reads, raises ValueError naming the dotted path.
+    length; anything else raises ValueError naming the dotted path. A new
+    table key takes the type of the default's first entry.
     """
     if dataclasses.is_dataclass(default):
         return _build(type(default), value, f"{path}.")
@@ -242,14 +252,8 @@ def _value(value, default, path: str):
     if isinstance(default, dict):
         if not isinstance(value, dict):
             raise ValueError(f"config value '{path}' must be a JSON object")
-        # The entries merge into the default table; a new key takes the shape
-        # of the default's first entry.
-        for key in value:
-            if key not in _TABLE_KEYS.get(path, default):
-                raise ValueError(f"unknown config key '{path}.{key}'")
         sample = next(iter(default.values()))
-        return {**default,
-                **{k: _value(v, default.get(k, sample), f"{path}.{k}") for k, v in value.items()}}
+        return {k: _value(v, default.get(k, sample), f"{path}.{k}") for k, v in value.items()}
     expected = (int, float) if isinstance(default, float) else type(default)
     if isinstance(value, bool) != isinstance(default, bool) or not isinstance(value, expected):
         raise ValueError(

@@ -1,15 +1,13 @@
 """Closed-loop policy evaluation.
 
 A suite is a fixed list of (task, scene seed, template) entries, built
-deterministically from per-task budgets. The harness rolls each entry in the
-simulator: it binds the policy to the episode's simulator (a hook only the
-privileged oracle reads), then gives it each tick's camera frame and the
-instruction text and executes its detokenized commands until the simulator
-reaches a terminal status, the policy raises its terminate token, or the
-policy misbehaves. A frame is rendered the first time the policy reads its
-``image`` and at most once, so the oracle and the random policy, which never
-look, cost no render. Tokens are decoded only when they differ from the
-previous tick's in the same episode; a repeat reuses that tick's command.
+deterministically from per-task budgets. The harness rolls each entry through
+``expert.collect.rollout``: it binds the policy to the episode's simulator (a
+hook only the privileged oracle reads), then gives it each tick's frame, which
+renders only when read, and the instruction text, and executes its
+detokenized commands until the simulator reaches a terminal status, the
+policy raises its terminate token, or the policy misbehaves. Tokens are
+decoded only when they differ from the previous tick's in the same episode.
 Every episode lands in exactly one outcome bucket:
 
     success       simulator reported the task criterion met
@@ -32,17 +30,18 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ..actions import ActionSpaceSpec, CodecError, default_action_space, detokenize
-from ..config import CameraConfig, RunConfig
+from ..actions import ActionSpaceSpec, default_action_space, detokenize
+from ..config import RunConfig
 from ..language import canonical_template_id, paraphrase_ids, render_instruction
 from ..roster import build_task_roster
 from ..store.episodes import Episode
 from ..store.mixing import MixPolicy, mix_stream
 from ..taxonomy import SEEN_COLORS, Skill, Split, TaskSpec, unseen_variant
-from ..world.camera import render_observation
+from ..world.camera import render_observation  # noqa: F401 -- perfbench/tracing.py wraps it here
 from ..world.sim import Simulator
-from ..world.state import Status, WorldState
+from ..world.state import Status
 from .policies import Policy
+from ..expert.collect import rollout
 from ..expert.scenes import sample_scene
 
 log = logging.getLogger(__name__)
@@ -176,59 +175,27 @@ class EvalReport:
         return buf.getvalue()
 
 
-class _Frame:
-    """One tick's observation, rendered when ``image`` is first read.
-
-    The simulator replaces its state on every step, so the frame shows its
-    own tick whenever it is read. A render error is kept in ``error``.
-    """
-
-    __slots__ = ("_state", "_camera", "_image", "error")
-
-    def __init__(self, state: WorldState, camera: CameraConfig):
-        self._state, self._camera = state, camera
-        self._image: np.ndarray | None = None
-        self.error: Exception | None = None
-
-    @property
-    def image(self) -> np.ndarray:
-        if self._image is None:
-            if self.error is not None:
-                raise self.error
-            try:
-                self._image = render_observation(self._state, self._camera)
-            except Exception as exc:
-                self.error = exc
-                raise
-        return self._image
-
-
 def _roll_entry(policy: Policy, entry: EvalEntry, run: RunConfig,
                 space: ActionSpaceSpec) -> str:
     sim = Simulator(sample_scene(entry.task, entry.seed, run.scene), run.sim)
     text = render_instruction(entry.task, entry.template_id).text
     policy.bind(sim)
-    last = None  # this episode's previous tokens; cmd is their command
-    while True:
-        if sim.done:
-            return _STATUS_BUCKET[sim.status]
-        obs = _Frame(sim.state, run.sim.camera)
+    last = cmd = None  # this episode's previous tokens and their command
+    def act(frame):
+        nonlocal last, cmd
         try:
-            tokens = policy.act(obs, text)
+            tokens = policy.act(frame, text)
             if tokens != last:
-                cmd = detokenize(tokens, space)
-                last = tokens
+                cmd, last = detokenize(tokens, space), tokens
         except Exception as exc:
-            if obs.error is None:  # a broken policy must not abort the suite
+            if frame.error is None:  # a broken policy must not abort the suite
                 log.warning("malformed action from policy on %s: %s",
                             entry.task.skill.value, exc)
-                return "malformed"
-        if obs.error is not None:
-            raise obs.error  # even if the policy caught it
-        if cmd.terminate:
-            # Terminating while the task is unmet is stopping at the wrong place.
-            return "wrong_target"
-        sim.step(cmd)
+            return "malformed"  # rollout raises a render error instead
+        # Terminating while the task is unmet is stopping at the wrong place.
+        return "wrong_target" if cmd.terminate else cmd
+
+    return rollout(sim, run.sim.camera, act) or _STATUS_BUCKET[sim.status]
 
 
 def run_suite(policy: Policy, suite: EvalSuite, run: RunConfig | None = None,

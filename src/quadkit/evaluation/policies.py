@@ -2,8 +2,8 @@
 nearest-neighbor imitator.
 
 Policies consume an observation (:class:`Frame`) plus instruction text and
-emit action tokens. The harness renders a frame's ``image`` when a policy
-first reads it, so a policy that never reads it costs no render.
+emit action tokens. ``expert.collect.rollout`` renders a frame's ``image``
+when first read, so a policy that never reads it costs no render.
 The harness calls ``bind(sim)`` on every policy before each episode; only the
 oracle reads the live simulator there (it is the privileged reference, not a
 learned model), and the other policies ignore it. The nearest-neighbor
@@ -85,7 +85,7 @@ from ..expert.collect import expert_tracker
 
 class Frame(Protocol):
     """An observation: any object whose ``image`` is the tick's read-only
-    (H, W, 3) uint8 camera frame, such as the harness's lazily rendered one."""
+    (H, W, 3) uint8 camera frame, such as ``expert.collect.Frame``."""
 
     @property
     def image(self) -> np.ndarray: ...

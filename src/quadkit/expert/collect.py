@@ -1,7 +1,8 @@
-"""Scripted demonstration episodes.
+"""Scripted demonstration episodes, and the closed loop collect and eval share.
 
-``generate_episode`` runs the planner + tracker against the simulator and
-records (observation, action) pairs. The terminate action is written by
+``rollout`` observes, acts and steps the simulator; the evaluation harness
+runs a policy through it, and ``generate_episode`` runs the planner + tracker
+and records (observation, action) pairs. The terminate action is written by
 protocol, not by the controller: when the simulator reports success, one
 final step is recorded that pairs the current observation with a stop
 command whose terminate flag is set, and nothing is recorded after that.
@@ -12,14 +13,16 @@ flagged via their outcome field so dataset statistics can account for them.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from ..actions import ActionCommand, ActionSpaceSpec, clamp_to_space, default_action_space, tokenize
-from ..config import RunConfig
+from ..config import CameraConfig, RunConfig
 from ..language import render_instruction
 from ..store.episodes import Episode, Step
 from ..taxonomy import Skill, TaskSpec
 from ..world.sim import Simulator
 from ..world.camera import render_observation
-from ..world.state import Status
+from ..world.state import Status, WorldState
 from .astar import NoPathError, plan_astar, smooth_path, straight_path
 from .grid import grid_from_scene
 from .scenes import sample_scene
@@ -49,15 +52,41 @@ def expert_tracker(scene, run: RunConfig) -> PathTracker:
     return PathTracker(scene, plan_for_task(scene, run), run.expert, run.sim)
 
 
-def _record_step(steps: list[Step], image, cmd: ActionCommand, pose,
-                 space: ActionSpaceSpec) -> None:
-    clamped = clamp_to_space(cmd, space)
-    steps.append(Step(
-        image=image,
-        tokens=tokenize(clamped, space).tokens,
-        command=clamped,
-        pose=tuple(pose),
-    ))
+class Frame:
+    """One tick's observation, rendered when ``image`` is first read.
+
+    The simulator replaces its state on every step, so the frame shows its
+    own tick whenever it is read. A render error is kept in ``error``.
+    """
+
+    def __init__(self, state: WorldState, camera: CameraConfig):
+        self._state, self._camera = state, camera
+        self.error: Exception | None = None
+
+    @cached_property
+    def image(self):  # a read-only (H, W, 3) uint8 array
+        if self.error is not None:
+            raise self.error
+        try:
+            return render_observation(self._state, self._camera)
+        except Exception as exc:
+            self.error = exc
+            raise
+
+
+def rollout(sim: Simulator, camera: CameraConfig, act) -> str | None:
+    """Step ``act(frame)``'s command each tick until the simulator is done;
+    a string from ``act`` ends the rollout and is returned. A render error is
+    raised even when ``act`` caught it: it is a fault of the loop."""
+    while not sim.done:
+        frame = Frame(sim.state, camera)
+        cmd = act(frame)
+        if frame.error is not None:
+            raise frame.error
+        if isinstance(cmd, str):
+            return cmd
+        sim.step(cmd)
+    return None
 
 
 def generate_episode(task: TaskSpec, seed: int,
@@ -87,16 +116,15 @@ def generate_episode(task: TaskSpec, seed: int,
         return episode
 
     sim = Simulator(scene, run.sim)
-    steps: list[Step] = []
-    while not sim.done:
-        image = render_observation(sim.state, run.sim.camera)
-        cmd = tracker.command(sim.state)
-        _record_step(steps, image, cmd, sim.state.robot_pose, space)
-        sim.step(cmd)
+    def record(frame: Frame, cmd: ActionCommand) -> ActionCommand:
+        clamped = clamp_to_space(cmd, space)
+        episode.steps.append(Step(image=frame.image, tokens=tokenize(clamped, space).tokens,
+                                  command=clamped, pose=tuple(sim.state.robot_pose)))
+        return cmd  # the raw command is stepped, not the recorded one
+
+    rollout(sim, run.sim.camera, lambda frame: record(frame, tracker.command(sim.state)))
     # Only a success records the terminal observation, paired with the stop.
     if sim.status is Status.SUCCESS:
-        image = render_observation(sim.state, run.sim.camera)
-        _record_step(steps, image, tracker.stop_command(), sim.state.robot_pose, space)
+        record(Frame(sim.state, run.sim.camera), tracker.stop_command())
     episode.outcome = sim.status.value
-    episode.steps = steps
     return episode

@@ -25,7 +25,7 @@ from quadkit.evaluation import (
 from quadkit.evaluation import harness, policies
 from quadkit.evaluation.harness import BUCKETS, EvalSuite
 from quadkit.evaluation.policies import _encode_spec, _featurize, _pool_image
-from quadkit.expert import generate_episode
+from quadkit.expert import collect, generate_episode
 from quadkit.language import LanguageError, parse_instruction, render_instruction
 from quadkit.store import EpisodeStore, MixPolicy
 from quadkit.taxonomy import SEEN_COLORS, Skill, SpeedLevel, Split
@@ -111,14 +111,14 @@ def test_undecodable_tokens_and_exceptions_are_malformed():
 
 @pytest.fixture
 def renders(monkeypatch):
-    """The states ``harness.render_observation`` is called with."""
+    """The states the rollout loop's frames render."""
     states = []
 
     def counted(state, camera):
         states.append(state)
         return render_observation(state, camera)
 
-    monkeypatch.setattr(harness, "render_observation", counted)
+    monkeypatch.setattr(collect, "render_observation", counted)
     return states
 
 
@@ -161,6 +161,14 @@ def test_a_frame_read_twice_renders_once_and_matches_the_live_state(renders):
     assert len({id(state) for state in renders}) == policy.ticks
 
 
+def test_generate_episode_renders_once_per_recorded_step(renders):
+    entry = small_suite(3).entries[0]
+    ep = generate_episode(entry.task, entry.seed)
+    assert ep.outcome == "success"
+    assert len(renders) == len(ep.steps)
+    assert len({id(state) for state in renders}) == len(ep.steps)
+
+
 class ReadTheImage:
     def __init__(self, swallow: bool):
         self.swallow = swallow
@@ -177,14 +185,23 @@ class ReadTheImage:
         return ActionTokens(tuple([128] * 11 + [1]))
 
 
-@pytest.mark.parametrize("swallow", [False, True], ids=["raises", "swallows"])
-def test_a_render_error_aborts_the_suite_instead_of_being_malformed(monkeypatch, swallow):
+@pytest.fixture
+def broken_renderer(monkeypatch):
     def broken(state, camera):
         raise RuntimeError("renderer broke")
 
-    monkeypatch.setattr(harness, "render_observation", broken)
+    monkeypatch.setattr(collect, "render_observation", broken)
+
+
+@pytest.mark.parametrize("swallow", [False, True], ids=["raises", "swallows"])
+def test_a_render_error_aborts_the_suite_instead_of_being_malformed(broken_renderer, swallow):
     with pytest.raises(RuntimeError, match="renderer broke"):
         run_suite(ReadTheImage(swallow), small_suite(6))
+
+
+def test_a_render_error_aborts_generate_episode(broken_renderer):
+    with pytest.raises(RuntimeError, match="renderer broke"):
+        generate_episode(small_suite(6).entries[0].task, 6)
 
 
 def tokens(v_x_bin: int, terminate: bool = False) -> ActionTokens:

@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from quadkit.config import RunConfig, SceneConfig, load_config
 from quadkit.expert import sample_scene
@@ -139,3 +140,16 @@ def test_a_dims_table_override_merges_into_the_defaults(tmp_path):
     assert target.kind is EntityKind.TARGET_OBJECT and target.shape == "bookshelf"
     assert target.dims == SceneConfig().furniture_dims["bookshelf"] == (0.4, 0.8, 1.2)
     assert scene == SceneConfig()
+
+
+def test_a_dims_table_built_in_python_merges_into_the_defaults():
+    scene = SceneConfig(furniture_dims={"sofa": (0.8, 1.6, 0.7)})
+    bookshelf = task(Skill.GO_TO, ObjectRef("bookshelf", None))
+    assert sample_scene(bookshelf, 7, scene).entities[0].dims == (0.4, 0.8, 1.2)
+    assert scene == SceneConfig()
+
+
+@pytest.mark.parametrize("table, key", [("furniture_dims", "sofaa"), ("shape_dims", "cubee")])
+def test_a_dims_table_key_no_lookup_reads_is_rejected_in_python(table, key):
+    with pytest.raises(ValueError, match=rf"'scene\.{table}\.{key}'"):
+        SceneConfig(**{table: {"sofa": (0.8, 1.6, 0.7), key: (1, 1, 1)}})
