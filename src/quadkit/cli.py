@@ -2,13 +2,13 @@
 
 Subcommands: collect (scripted episodes into a store), stats, eval, render,
 import-real, validate. Reads an optional run config from --config or the
-QUARD_CONFIG environment variable. Exit codes: 0 on success, 1 on an
-operational failure (bad store, no path, malformed input; -v adds its
-traceback), 2 on usage errors (argparse handles those), 130 on an interrupt
-(SIGINT), which prints one line and no traceback. collect and import-real
-write shards through ``EpisodeStore.fill_shard``, which takes the interrupt
-only between episodes, so neither leaves a writer process or a temporary
-shard behind. All logs go to stderr; result tables go to stdout.
+QUARD_CONFIG environment variable. Exit codes: 0 on success, 2 on usage
+errors (argparse handles those), 130 on an interrupt (SIGINT), which prints
+one line and no traceback, and 1 on any other failure, which prints one line
+(-v adds its traceback). collect and import-real write shards through
+``EpisodeStore.fill_shard``, which takes the interrupt only between episodes,
+so neither leaves a writer process or a temporary shard behind. All logs go
+to stderr; result tables go to stdout.
 """
 
 from __future__ import annotations
@@ -26,16 +26,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .actions import CodecError, default_action_space
+from .actions import default_action_space
 from .config import FULL_SCALE_PLAN, PLAN_DIVISOR, RunConfig, load_config
-from .expert.astar import NoPathError
 from .expert.collect import generate_episode
-from .language import LanguageError
 from .roster import build_task_roster
 from .store import (
     EpisodeStore,
     ShardInfo,
-    StoreError,
     compute_stats,
     import_real,
     stats_svg,
@@ -55,10 +52,6 @@ from .world.camera import to_ppm
 log = logging.getLogger("quadkit")
 
 CONFIG_ENV_VAR = "QUARD_CONFIG"
-
-OPERATIONAL_ERRORS = (
-    StoreError, NoPathError, LanguageError, CodecError, OSError, ValueError, KeyError,
-)
 
 
 class UsageError(Exception):
@@ -430,10 +423,10 @@ def main(argv: list[str] | None = None) -> int:
         except UsageError as exc:
             print(f"usage error: {exc}", file=sys.stderr)
             return 2
-        except OPERATIONAL_ERRORS as exc:
+        except Exception as exc:
             if args.verbose:
                 traceback.print_exc()
-            print(f"error: {exc}", file=sys.stderr)
+            print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
             return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

@@ -86,6 +86,11 @@ class CameraConfig:
     height_offset: float = 0.05    # above realized body height
     near_plane: float = 0.05
 
+    def __post_init__(self):
+        if self.width < 1 or self.height < 1:
+            raise ValueError(f"camera width and height must be >= 1, "
+                             f"got {self.width}x{self.height}")
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -199,6 +204,11 @@ class ExpertConfig:
     unload_dump_radius: float = 0.7
     unload_dump_pitch: float = 0.38
     heading_gate: float = 1.0               # rad; above this, creep at band floor
+
+    def __post_init__(self):
+        if not (math.isfinite(self.grid_resolution) and self.grid_resolution > 0):
+            raise ValueError(f"grid_resolution must be finite and > 0, "
+                             f"got {self.grid_resolution!r}")
 
 
 # Full-scale per-task episode counts for the collection plan; the desk-scale

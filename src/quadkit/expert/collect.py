@@ -33,11 +33,7 @@ def plan_for_task(scene, run: RunConfig):
     """Expert path for a scene, or None for the rotation-only task."""
     if scene.task.skill is Skill.DISTINGUISH:
         return None
-    grid = grid_from_scene(
-        scene, run.sim,
-        resolution=run.expert.grid_resolution,
-        inflation=run.sim.footprint_radius + run.expert.inflation_margin,
-    )
+    grid = grid_from_scene(scene, run)
     start, goal = scene.start_pose[:2], scene.goal_xy
     # A* runs only when the smoothed answer may not be one straight segment.
     path = straight_path(grid, start, goal)
@@ -49,7 +45,7 @@ def plan_for_task(scene, run: RunConfig):
 def expert_tracker(scene, run: RunConfig) -> PathTracker:
     """The expert's controller for a scene, as used for demonstrations and by
     the oracle policy; raises NoPathError when the scene cannot be planned."""
-    return PathTracker(scene, plan_for_task(scene, run), run.expert, run.sim)
+    return PathTracker(scene, plan_for_task(scene, run), run)
 
 
 class Frame:

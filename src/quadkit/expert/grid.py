@@ -1,10 +1,10 @@
 """Occupancy grid used by the path planners.
 
 The grid rasterizes the scene's blocking geometry (obstacles, letter boxes,
-tunnel walls) at a fixed resolution and then inflates it by the robot's
-footprint radius plus a safety margin, so planners can treat the robot as a
-point. Bars and target objects never enter the grid: the robot crawls under
-the former and is allowed to stop next to the latter.
+tunnel walls) at the run's resolution and then inflates it by the robot's
+footprint radius plus the run's safety margin, so planners can treat the
+robot as a point. Bars and target objects never enter the grid: the robot
+crawls under the former and is allowed to stop next to the latter.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..config import SimConfig
+from ..config import RunConfig
 from ..world.entities import Entity, EntityKind, SOLID_KINDS
 from ..world.scene import Scene
 
@@ -155,22 +155,16 @@ def _rasterize_entity(mask: np.ndarray, grid: OccupancyGrid, ent: Entity) -> Non
             _rasterize_box(mask, grid, (x, cy), (ent.dims[0] / 2.0, thickness / 2.0), yaw)
 
 
-def grid_from_scene(scene: Scene, sim: SimConfig | None = None,
-                    resolution: float = 0.05,
-                    inflation: float | None = None) -> OccupancyGrid:
-    """Build the planning grid for a scene over the arena bounds.
-
-    ``inflation`` defaults to the footprint radius plus 0.05 m; the expert
-    pipeline passes a larger margin so tracked paths keep clearance.
-    """
-    sim = sim or SimConfig()
-    if inflation is None:
-        inflation = sim.footprint_radius + 0.05
-    x0, x1, y0, y1 = sim.arena
+def grid_from_scene(scene: Scene, run: RunConfig) -> OccupancyGrid:
+    """The planning grid of a scene over ``run.sim.arena`` at the expert's
+    resolution, inflated by the footprint radius plus the expert's margin."""
+    x0, x1, y0, y1 = run.sim.arena
+    resolution = run.expert.grid_resolution
     nx = int(round((x1 - x0) / resolution))
     ny = int(round((y1 - y0) / resolution))
     mask = np.zeros((ny, nx), dtype=bool)
     grid = OccupancyGrid((x0, y0), resolution, mask.copy())
     for ent in scene.entities:
         _rasterize_entity(mask, grid, ent)
+    inflation = run.sim.footprint_radius + run.expert.inflation_margin
     return OccupancyGrid((x0, y0), resolution, mask).inflate(inflation)

@@ -15,7 +15,7 @@ import math
 from dataclasses import replace
 
 from ..actions import ActionCommand
-from ..config import ExpertConfig, SimConfig
+from ..config import RunConfig
 from ..taxonomy import GAIT_PHASES, Skill
 from ..world.scene import Scene
 from ..world.sim import _wrap_angle
@@ -24,14 +24,14 @@ from .astar import PlannedPath
 
 
 class PathTracker:
-    def __init__(self, scene: Scene, path: PlannedPath | None,
-                 expert: ExpertConfig | None = None,
-                 sim: SimConfig | None = None):
+    """One episode's controller, tuned by ``run.expert`` and ``run.sim`` alone."""
+
+    def __init__(self, scene: Scene, path: PlannedPath | None, run: RunConfig):
         self.task = scene.task
         self.scene = scene
         self.path = path
-        self.expert = expert or ExpertConfig()
-        self.sim = sim or SimConfig()
+        self.expert = run.expert
+        self.sim = run.sim
         if self.task.skill is not Skill.DISTINGUISH and path is None:
             raise ValueError(f"{self.task.skill.value} requires a planned path")
         self._progress = 0

@@ -51,14 +51,14 @@ def _read_commands(path: Path) -> list[tuple[tuple[float, ...], bool]]:
                 raise _SkipEpisode(f"commands.csv row {i}: expected 12 columns, got {len(row)}")
             try:
                 values = tuple(float(v) for v in row[:NUM_CONTINUOUS])
-                term_raw = int(float(row[NUM_CONTINUOUS]))
+                term = float(row[NUM_CONTINUOUS])
             except ValueError as exc:
                 raise _SkipEpisode(f"commands.csv row {i}: {exc}") from exc
             if not all(math.isfinite(v) for v in values):
                 raise _SkipEpisode(f"commands.csv row {i}: non-finite value")
-            if term_raw not in (0, 1):
+            if term not in (0.0, 1.0):  # 1.7, nan and inf too
                 raise _SkipEpisode(f"commands.csv row {i}: terminate must be 0 or 1")
-            rows.append((values, bool(term_raw)))
+            rows.append((values, term == 1.0))
     if not rows:
         raise _SkipEpisode("commands.csv: no rows")
     return rows

@@ -131,10 +131,14 @@ def to_ppm(image: np.ndarray) -> bytes:
 
 
 def from_ppm(data: bytes) -> np.ndarray:
-    """Parse a binary PPM (P6) produced by :func:`to_ppm`."""
-    if not data.startswith(b"P6"):
-        raise ValueError("not a P6 PPM")
+    """Parse a binary PPM (P6) as :func:`to_ppm` writes it: the header must be
+    ``P6\\n<w> <h>\\n255\\n`` with a positive size; else ValueError."""
     parts = data.split(b"\n", 3)
-    w, h = (int(t) for t in parts[1].split())
+    if len(parts) != 4 or parts[0] != b"P6" or parts[2] != b"255":
+        raise ValueError(f"not a P6 header with maxval 255: {data[:16]!r}")
+    size = parts[1].split()
+    if len(size) != 2 or not all(t.isdigit() and int(t) > 0 for t in size):
+        raise ValueError(f"PPM size must be two positive integers, got {parts[1]!r}")
+    w, h = map(int, size)
     raster = np.frombuffer(parts[3], dtype=np.uint8, count=w * h * 3)
     return raster.reshape(h, w, 3)

@@ -472,6 +472,25 @@ def test_bad_slew_rate_is_a_usage_error(tmp_path, capsys, rate):
     assert not (tmp_path / "store").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"expert": {"grid_resolution": 0}}', "grid_resolution must be finite and > 0"),
+    ('{"expert": {"grid_resolution": -0.05}}', "grid_resolution must be finite and > 0"),
+    ('{"expert": {"grid_resolution": NaN}}', "grid_resolution must be finite and > 0"),
+    ('{"sim": {"camera": {"width": 0}}}', "camera width and height must be >= 1"),
+    ('{"sim": {"camera": {"height": -48}}}', "camera width and height must be >= 1"),
+], ids=["resolution-zero", "resolution-negative", "resolution-nan", "width-zero",
+        "height-negative"])
+def test_a_config_value_that_cannot_work_is_a_usage_error(tmp_path, capsys, text, message):
+    bad = tmp_path / "c.json"
+    bad.write_text(text)
+    code, _ = run_cli("--config", str(bad), "collect", "--out", str(tmp_path / "S"),
+                      "--task", "go_to", "--count", "1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: bad config {bad}") and message in err
+    assert not (tmp_path / "S").exists()
+
+
 def test_default_config_file_bytes_are_pinned(tmp_path):
     save_config(RunConfig(), tmp_path / "cfg.json")
     digest = hashlib.sha256((tmp_path / "cfg.json").read_bytes()).hexdigest()
@@ -585,3 +604,21 @@ def test_verbose_adds_a_traceback_to_operational_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback (most recent call last)")
     assert err.splitlines()[-1].startswith("error: no manifest.json")
+
+
+@pytest.mark.parametrize("error, line", [(ZeroDivisionError("division by zero"),
+                                          "error: division by zero"),
+                                         (RuntimeError(), "error: RuntimeError")],
+                         ids=["unlisted-type", "empty-message"])
+def test_any_runtime_failure_prints_one_line_or_its_traceback(monkeypatch, capsys, error, line):
+    def fails(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_stats", fails)
+    assert run_cli("stats", "--store", "S")[0] == 1
+    assert capsys.readouterr().err == line + "\n"
+
+    assert run_cli("-v", "stats", "--store", "S")[0] == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last)")
+    assert type(error).__name__ in err and err.splitlines()[-1] == line

@@ -7,17 +7,21 @@ import math
 import numpy as np
 import pytest
 
+from quadkit.config import ExpertConfig, RunConfig, SimConfig
 from quadkit.expert import (
     DStarLitePlanner,
     NoPathError,
     OccupancyGrid,
+    grid_from_scene,
     line_of_sight,
     plan_astar,
+    sample_scene,
     smooth_path,
 )
 from quadkit.expert.astar import SQRT2, straight_path
 
 from quadkit.expert.grid import _rasterize_box
+from quadkit.taxonomy import GaitName, Skill, SpeedLevel, TaskSpec, seen_object_pool
 
 from oracles import (box_cells, dijkstra_cost, dilate_disk, line_of_sight_reference, random_grid,
                      segment_cells)
@@ -121,6 +125,22 @@ def test_inflate_matches_brute_force_disk_on_random_masks():
             for r in range(9):
                 assert np.array_equal(grid.inflate(r * res).occupied,
                                       dilate_disk(occupied, r)), (ny, nx, r)
+
+
+@pytest.mark.parametrize("skill", [Skill.GO_AVOID, Skill.GO_THROUGH])
+def test_the_runs_expert_settings_reach_the_grid(skill):
+    run = RunConfig(expert=ExpertConfig(grid_resolution=0.1, inflation_margin=0.05))
+    scene = sample_scene(TaskSpec(skill, seen_object_pool(skill)[0], SpeedLevel.NORMAL,
+                                  GaitName.TROT), 11)
+    grid = grid_from_scene(scene, run)
+    assert grid.resolution == 0.1 and grid.occupied.shape == (70, 75)
+    # The same rasterization with nothing added around it.
+    raw = grid_from_scene(scene, RunConfig(sim=SimConfig(footprint_radius=0.0),
+                                           expert=ExpertConfig(grid_resolution=0.1,
+                                                               inflation_margin=0.0)))
+    assert raw.occupied.any() and not np.array_equal(raw.occupied, grid.occupied)
+    r = math.ceil((run.sim.footprint_radius + 0.05) / 0.1)
+    assert np.array_equal(grid.occupied, dilate_disk(raw.occupied, r))
 
 
 def test_box_rasterization_matches_per_cell_test():

@@ -103,6 +103,39 @@ def test_episodes_breaking_the_success_rule_are_skipped(tmp_path):
     assert store.validate() == []
 
 
+def test_a_terminate_cell_other_than_0_or_1_skips_the_episode(tmp_path):
+    src = tmp_path / "src"
+    write_episode(src / "00-float-flags", rows=[f"{GOOD_ROW},0.0", f"{GOOD_ROW},1.0"],
+                  instruction="go to the red cube at normal speed with trot gait")
+    for name, flag in (("01-inf", "inf"), ("02-one-point-seven", "1.7"), ("03-nan", "nan")):
+        write_episode(src / name, rows=[f"{GOOD_ROW},0", f"{GOOD_ROW},{flag}"],
+                      instruction="go to the red cube at normal speed with trot gait")
+    good_episode(src / "04-good")
+    report = import_real(src, tmp_path / "store")
+    assert report.imported == 2
+    assert report.skipped == [(name, "commands.csv row 1: terminate must be 0 or 1")
+                              for name in ("01-inf", "02-one-point-seven", "03-nan")]
+    store = EpisodeStore.open(tmp_path / "store")
+    eps = list(store.iter_episodes())
+    assert [ep.episode_id for ep in eps] == ["real-00-float-flags", "real-04-good"]
+    assert [s.command.terminate for s in eps[0].steps] == [False, True]
+    assert store.validate() == []
+
+
+@pytest.mark.parametrize("header", [b"P6\n64 48\n", b"P6\n-1 48\n255\n", b"P6\n0 0\n255\n",
+                                    b"P6\n64 48\n65535\n"],
+                         ids=["truncated", "negative-width", "zero-size", "maxval"])
+def test_a_frame_with_a_malformed_header_skips_the_episode(tmp_path, header):
+    src = tmp_path / "src"
+    good_episode(src / "00-good")
+    good_episode(src / "01-bad-frame")
+    (src / "01-bad-frame" / "frames" / "0001.ppm").write_bytes(header + bytes(64 * 48 * 3))
+    report = import_real(src, tmp_path / "store")
+    assert report.imported == 1
+    assert [name for name, _ in report.skipped] == ["01-bad-frame"]
+    assert report.skipped[0][1].startswith("0001.ppm: ")
+
+
 def test_each_episode_is_added_before_the_next_is_read(tmp_path, monkeypatch):
     src = tmp_path / "src"
     good_episode(src / "00-a", frame_seed=10)

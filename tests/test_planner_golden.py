@@ -19,7 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from quadkit.config import RunConfig
+from quadkit.config import ExpertConfig, RunConfig
 from quadkit.expert import (DStarLitePlanner, NoPathError, OccupancyGrid, grid_from_scene,
                            plan_astar, sample_scene, smooth_path)
 from quadkit.expert.collect import plan_for_task
@@ -54,12 +54,10 @@ def sampled_scenes():
 
 def pinned_grids():
     """``(scene, grid)`` for each pinned scene. Grids alternate the expert's
-    margin with the default one so two disk radii are pinned."""
-    run = RunConfig()
+    margin with a 0.05 m one so two disk radii are pinned."""
+    runs = (RunConfig(expert=ExpertConfig(inflation_margin=0.05)), RunConfig())
     for i, scene in sampled_scenes():
-        inflation = run.sim.footprint_radius + run.expert.inflation_margin if i % 2 else None
-        yield scene, grid_from_scene(scene, run.sim, resolution=run.expert.grid_resolution,
-                                     inflation=inflation)
+        yield scene, grid_from_scene(scene, runs[i % 2])
 
 
 def planner_digests() -> tuple[str, str]:

@@ -147,6 +147,23 @@ def test_ppm_round_trip_is_exact():
         from_ppm(b"P3\n1 1\n255\n0 0 0")
 
 
+@pytest.mark.parametrize("data", [
+    b"P6\n64 48\n",
+    b"P6\n64\n255\n" + bytes(64 * 3),
+    b"P6\n64 48 1\n255\n" + bytes(64 * 48 * 3),
+    b"P6\n-1 48\n255\n" + bytes(48 * 3),
+    b"P6\n0 0\n255\n",
+    b"P6\n6.4 48\n255\n" + bytes(64 * 48 * 3),
+    b"P6\n64 48\n65535\n" + bytes(64 * 48 * 6),
+    b"P6 64 48 255\n" + bytes(64 * 48 * 3),
+    b"P6\n64 48\n255\n" + bytes(64 * 48 * 3 - 1),
+], ids=["truncated", "one-size", "three-sizes", "negative-width", "zero-size", "float-width",
+        "maxval", "one-line-header", "short-raster"])
+def test_from_ppm_rejects_any_other_header(data):
+    with pytest.raises(ValueError):
+        from_ppm(data)
+
+
 def test_observation_image_is_write_protected():
     image = render_observation(WorldState(robot_pose=(0.0, 0.0, 0.0)))
     with pytest.raises(ValueError):
