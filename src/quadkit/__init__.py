@@ -12,7 +12,6 @@ workflows.
 from .actions import (
     ActionCommand,
     ActionSpaceSpec,
-    ActionTokens,
     CodecError,
     clamp_to_space,
     default_action_space,
@@ -28,7 +27,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ActionCommand",
     "ActionSpaceSpec",
-    "ActionTokens",
     "CodecError",
     "clamp_to_space",
     "default_action_space",

@@ -150,19 +150,6 @@ class ActionCommand:
         return ActionCommand(*values, terminate=bool(terminate))
 
 
-@dataclass(frozen=True)
-class ActionTokens:
-    """The 12 integer tokens for one command (11 bins + terminate)."""
-
-    tokens: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.tokens) != NUM_CONTINUOUS + 1:
-            raise CodecError(f"expected 12 tokens, got {len(self.tokens)}")
-        if any(not isinstance(t, int) or isinstance(t, bool) for t in self.tokens):
-            raise CodecError("tokens must be plain integers")
-
-
 def _check_finite(values, context: str) -> None:
     if all(map(math.isfinite, values)):
         return
@@ -171,9 +158,9 @@ def _check_finite(values, context: str) -> None:
             raise CodecError(f"{context}: non-finite value {v!r} for dimension {name!r}")
 
 
-def tokenize(a: ActionCommand, spec: ActionSpaceSpec) -> ActionTokens:
-    """Quantize a command into tokens, clamping out-of-range values into the
-    first/last bin."""
+def tokenize(a: ActionCommand, spec: ActionSpaceSpec) -> tuple[int, ...]:
+    """Quantize a command into its 12 tokens, clamping out-of-range values
+    into the first/last bin."""
     values = a.continuous()
     _check_finite(values, "tokenize")
     offset, last = spec.token_offset, spec.bin_count - 1
@@ -182,26 +169,30 @@ def tokenize(a: ActionCommand, spec: ActionSpaceSpec) -> ActionTokens:
         k = math.floor((v - lo) / width)
         toks.append(offset + (0 if k < 0 else last if k > last else k))
     toks.append(offset + (1 if a.terminate else 0))
-    return ActionTokens(tuple(toks))
+    return tuple(toks)
 
 
-def detokenize(tok: ActionTokens, spec: ActionSpaceSpec) -> ActionCommand:
-    """Map tokens back to the bin-center command."""
+def detokenize(tokens: tuple[int, ...], spec: ActionSpaceSpec) -> ActionCommand:
+    """Map a tuple of 12 plain ``int`` tokens back to the bin-center command;
+    anything else (a list, a ``bool``, a numpy integer) raises CodecError."""
+    if (type(tokens) is not tuple or len(tokens) != NUM_CONTINUOUS + 1
+            or not all(type(t) is int for t in tokens)):
+        raise CodecError(f"detokenize: expected a tuple of 12 plain ints, got {tokens!r:.200}")
     offset, count = spec.token_offset, spec.bin_count
     values = []
-    for (name, lo, _, width, _), t in zip(spec._codec, tok.tokens[:NUM_CONTINUOUS]):
+    for (name, lo, _, width, _), t in zip(spec._codec, tokens):
         k = t - offset
         if not 0 <= k < count:
             raise CodecError(
                 f"detokenize: token {t} out of range for dimension {name!r}"
             )
         values.append(lo + (k + 0.5) * width)
-    t_term = tok.tokens[NUM_CONTINUOUS] - offset
+    t_term = tokens[NUM_CONTINUOUS] - offset
     if t_term not in (0, 1):
         raise CodecError(
-            f"detokenize: token {tok.tokens[NUM_CONTINUOUS]} out of range for dimension 'terminate'"
+            f"detokenize: token {tokens[NUM_CONTINUOUS]} out of range for dimension 'terminate'"
         )
-    return ActionCommand.from_continuous(values, terminate=bool(t_term))
+    return ActionCommand(*values, terminate=t_term == 1)  # bin centers are floats
 
 
 def clamp_to_space(a: ActionCommand, spec: ActionSpaceSpec) -> ActionCommand:

@@ -90,6 +90,11 @@ class CameraConfig:
         if self.width < 1 or self.height < 1:
             raise ValueError(f"camera width and height must be >= 1, "
                              f"got {self.width}x{self.height}")
+        if not 0 < self.hfov_deg < 180:
+            raise ValueError(f"camera hfov_deg must be in (0, 180), got {self.hfov_deg!r}")
+        if not (math.isfinite(self.near_plane) and self.near_plane > 0):
+            raise ValueError(f"camera near_plane must be finite and > 0, "
+                             f"got {self.near_plane!r}")
 
 
 @dataclass(frozen=True)
@@ -109,6 +114,12 @@ class SimConfig:
     arena: tuple[float, float, float, float] = (-1.5, 6.0, -3.5, 3.5)
     release_pitch: float = 0.30             # realized pitch that dumps the ball
     throw_distance: float = 0.40            # ball lands this far ahead
+
+    def __post_init__(self):
+        x0, x1, y0, y1 = self.arena
+        if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0) and x0 < x1 and y0 < y1):
+            raise ValueError(f"sim arena (x0, x1, y0, y1) must be finite with x0 < x1 "
+                             f"and y0 < y1, got {self.arena!r}")
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,18 @@ class RunConfig:
     sim: SimConfig = field(default_factory=SimConfig)
     scene: SceneConfig = field(default_factory=SceneConfig)
     expert: ExpertConfig = field(default_factory=ExpertConfig)
+
+    def __post_init__(self):
+        if min(self.grid_cells) < 1:
+            raise ValueError(f"expert.grid_resolution {self.expert.grid_resolution!r} leaves "
+                             f"no planning grid cell along a side of sim.arena {self.sim.arena!r}")
+
+    @property
+    def grid_cells(self) -> tuple[int, int]:
+        """The expert's planning grid size (nx, ny) over the arena."""
+        x0, x1, y0, y1 = self.sim.arena
+        resolution = self.expert.grid_resolution
+        return int(round((x1 - x0) / resolution)), int(round((y1 - y0) / resolution))
 
 
 # The keys scenes._dims_for can look up in each table (a shape variant as its

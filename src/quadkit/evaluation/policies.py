@@ -2,8 +2,9 @@
 nearest-neighbor imitator.
 
 Policies consume an observation (:class:`Frame`) plus instruction text and
-emit action tokens. ``expert.collect.rollout`` renders a frame's ``image``
-when first read, so a policy that never reads it costs no render.
+emit action tokens, a tuple of 12 plain ints. ``expert.collect.rollout``
+renders a frame's ``image`` when first read, so a policy that never reads it
+costs no render.
 The harness calls ``bind(sim)`` on every policy before each episode; only the
 oracle reads the live simulator there (it is the privileged reference, not a
 learned model), and the other policies ignore it. The nearest-neighbor
@@ -69,7 +70,6 @@ import numpy as np
 from ..actions import (
     ActionCommand,
     ActionSpaceSpec,
-    ActionTokens,
     clamp_to_space,
     default_action_space,
     tokenize,
@@ -95,7 +95,7 @@ class Frame(Protocol):
 class Policy(Protocol):
     def bind(self, sim: Simulator) -> None: ...
 
-    def act(self, obs: Frame, instruction: str) -> ActionTokens: ...
+    def act(self, obs: Frame, instruction: str) -> tuple[int, ...]: ...
 
 
 class OraclePolicy:
@@ -116,7 +116,7 @@ class OraclePolicy:
         except expert.NoPathError:
             self._tracker = None
 
-    def act(self, obs: Frame, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> tuple[int, ...]:
         if self._sim is None:
             raise RuntimeError("oracle must be bound to a simulator first")
         if self._tracker is None:
@@ -137,11 +137,11 @@ class RandomPolicy:
     def bind(self, sim: Simulator) -> None:
         pass
 
-    def act(self, obs: Frame, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> tuple[int, ...]:
         lo = self.space.token_offset
         bins = self._rng.integers(lo, lo + self.space.bin_count, size=11)
         term = self._rng.integers(lo, lo + 2)
-        return ActionTokens(tuple(int(t) for t in bins) + (int(term),))
+        return tuple(bins.tolist()) + (int(term),)
 
 
 # -- nearest-neighbor behavior cloning -------------------------------------------
@@ -250,7 +250,7 @@ class KnnPolicy:
         # (instruction, spec, order, low, first) of the instruction in play.
         self._record: tuple[str, np.ndarray, list[int], np.ndarray, int] | None = None
         self._reach = 0  # spec groups the last search needed
-        self._last: tuple[tuple, ActionTokens] | None = None
+        self._last: tuple[tuple, tuple[int, ...]] | None = None
         # The certified search (module docstring).
         self._group_rows, self._group_starts, self._group_specs = _spec_groups(self.features)
         self._group_sizes = np.diff(self._group_starts)
@@ -375,7 +375,7 @@ class KnnPolicy:
         cand = np.flatnonzero(d2 <= kth)
         return cand[np.argsort(d2[cand], kind="stable")[: self.k]]
 
-    def act(self, obs: Frame, instruction: str) -> ActionTokens:
+    def act(self, obs: Frame, instruction: str) -> tuple[int, ...]:
         image = obs.image
         # A byte copy, so a caller that mutates its array in place misses.
         key = (instruction, image.shape, image.dtype.str, image.tobytes())
@@ -387,7 +387,7 @@ class KnnPolicy:
             nearest = self._scan_nearest(q)
         votes = (self.labels[nearest] + self._vote_offsets).ravel()
         counts = np.bincount(votes, minlength=self._vote_offsets.size * self._vocab)
-        tokens = ActionTokens(tuple(counts.reshape(-1, self._vocab).argmax(axis=1).tolist()))
+        tokens = tuple(counts.reshape(-1, self._vocab).argmax(axis=1).tolist())
         self._last = (key, tokens)
         return tokens
 

@@ -114,7 +114,7 @@ def generate_episode(task: TaskSpec, seed: int,
     sim = Simulator(scene, run.sim)
     def record(frame: Frame, cmd: ActionCommand) -> ActionCommand:
         clamped = clamp_to_space(cmd, space)
-        episode.steps.append(Step(image=frame.image, tokens=tokenize(clamped, space).tokens,
+        episode.steps.append(Step(image=frame.image, tokens=tokenize(clamped, space),
                                   command=clamped, pose=tuple(sim.state.robot_pose)))
         return cmd  # the raw command is stepped, not the recorded one
 

@@ -158,10 +158,9 @@ def _rasterize_entity(mask: np.ndarray, grid: OccupancyGrid, ent: Entity) -> Non
 def grid_from_scene(scene: Scene, run: RunConfig) -> OccupancyGrid:
     """The planning grid of a scene over ``run.sim.arena`` at the expert's
     resolution, inflated by the footprint radius plus the expert's margin."""
-    x0, x1, y0, y1 = run.sim.arena
+    x0, _, y0, _ = run.sim.arena
     resolution = run.expert.grid_resolution
-    nx = int(round((x1 - x0) / resolution))
-    ny = int(round((y1 - y0) / resolution))
+    nx, ny = run.grid_cells
     mask = np.zeros((ny, nx), dtype=bool)
     grid = OccupancyGrid((x0, y0), resolution, mask.copy())
     for ent in scene.entities:

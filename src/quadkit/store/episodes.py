@@ -42,8 +42,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from ..actions import (ActionCommand, ActionSpaceSpec, ActionTokens, CodecError,
-                       NUM_CONTINUOUS, detokenize)
+from ..actions import ActionCommand, ActionSpaceSpec, CodecError, NUM_CONTINUOUS, detokenize
 from ..config import RateConfig
 from ..taxonomy import TaskSpec
 from ..world.camera import from_ppm, to_ppm
@@ -72,10 +71,6 @@ class Step:
     tokens: tuple[int, ...]
     command: ActionCommand
     pose: tuple[float, float, float]
-
-    def __post_init__(self):
-        if len(self.tokens) != NUM_CONTINUOUS + 1:
-            raise StoreError(f"step tokens must have 12 entries, got {len(self.tokens)}")
 
 
 @dataclass
@@ -113,7 +108,7 @@ def episode_problems(ep: Episode, space: ActionSpaceSpec) -> list[str]:
     problems = []
     for j, step in enumerate(ep.steps):
         try:
-            detokenize(ActionTokens(step.tokens), space)
+            detokenize(step.tokens, space)
         except CodecError as exc:
             problems.append(f"steps[{j}].tokens: {exc}")
     stops = [j for j, step in enumerate(ep.steps) if step.tokens[-1] == space.token_offset + 1]
@@ -524,6 +519,8 @@ class EpisodeStore:
             obs, tokens, pose = s["obs"], s["tokens"], s["pose"]
             if not (isinstance(obs, str) and _SHA.fullmatch(obs)):
                 raise StoreError(f"obs must be 64 lowercase hex digits, got {obs!r}")
+            if len(tokens) != NUM_CONTINUOUS + 1:
+                raise StoreError(f"step tokens must have 12 entries, got {len(tokens)}")
             if not all(type(t) is int for t in tokens):
                 raise StoreError(f"tokens must be JSON integers, got {tokens!r}")
             if len(pose) != 3 or not all(type(v) in (int, float) for v in pose):

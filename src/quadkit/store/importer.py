@@ -86,7 +86,7 @@ def _read_episode(folder: Path, index: int, space: ActionSpaceSpec) -> Episode:
         cmd = clamp_to_space(ActionCommand.from_continuous(values, term), space)
         steps.append(Step(
             image=image,
-            tokens=tokenize(cmd, space).tokens,
+            tokens=tokenize(cmd, space),
             command=cmd,
             pose=(0.0, 0.0, 0.0),
         ))
@@ -106,9 +106,9 @@ def _read_episode(folder: Path, index: int, space: ActionSpaceSpec) -> Episode:
     return episode
 
 
-def import_real(src: str | Path, store_root: str | Path,
-                shard_name: str = "real-000") -> ImportReport:
-    """Import every episode directory under ``src`` into a store."""
+def import_real(src: str | Path, store_root: str | Path) -> ImportReport:
+    """Import every episode directory under ``src`` into a new shard of a
+    store, named ``real-NNN`` with the lowest number its manifest lacks."""
     src = Path(src)
     store_root = Path(store_root)
     if (store_root / "manifest.json").exists():
@@ -132,5 +132,7 @@ def import_real(src: str | Path, store_root: str | Path,
             report.imported += 1
             yield episode
 
-    store.write_shard(shard_name, episodes())
+    taken = {info.name for info in store.shards}
+    names = (f"real-{i:03d}" for i in range(len(taken) + 1))  # one of them is free
+    store.write_shard(next(n for n in names if n not in taken), episodes())
     return report

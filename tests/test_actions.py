@@ -8,7 +8,6 @@ import pytest
 from quadkit.actions import (
     ActionCommand,
     ActionSpaceSpec,
-    ActionTokens,
     CodecError,
     DimensionSpec,
     NUM_CONTINUOUS,
@@ -37,7 +36,7 @@ def test_bin_centers_are_round_trip_fixed_points():
             cmd = ActionCommand.from_continuous(values)
             out = detokenize(tokenize(cmd, SPACE), SPACE)
             assert out.continuous()[i] == pytest.approx(values[i], abs=1e-12)
-            assert tokenize(out, SPACE).tokens[i] == SPACE.token_offset + k
+            assert tokenize(out, SPACE)[i] == SPACE.token_offset + k
 
 
 def test_random_round_trip_within_half_bin():
@@ -55,13 +54,13 @@ def test_random_round_trip_within_half_bin():
 def test_range_endpoints_clamp_into_first_and_last_bin():
     lo_cmd = ActionCommand.from_continuous([d.min for d in SPACE.dimensions])
     hi_cmd = ActionCommand.from_continuous([d.max for d in SPACE.dimensions])
-    lo_toks = tokenize(lo_cmd, SPACE).tokens[:NUM_CONTINUOUS]
-    hi_toks = tokenize(hi_cmd, SPACE).tokens[:NUM_CONTINUOUS]
+    lo_toks = tokenize(lo_cmd, SPACE)[:NUM_CONTINUOUS]
+    hi_toks = tokenize(hi_cmd, SPACE)[:NUM_CONTINUOUS]
     assert all(t == SPACE.token_offset for t in lo_toks)
     assert all(t == SPACE.token_offset + SPACE.bin_count - 1 for t in hi_toks)
     # Values beyond the range land in the boundary bin rather than erroring.
     wild = ActionCommand(v_x=99.0, f=0.0, h_z=-3.0)
-    toks = tokenize(wild, SPACE).tokens
+    toks = tokenize(wild, SPACE)
     assert toks[SPACE.index("v_x")] == SPACE.token_offset + SPACE.bin_count - 1
     assert toks[SPACE.index("f")] == SPACE.token_offset
     assert toks[SPACE.index("h_z")] == SPACE.token_offset
@@ -70,8 +69,8 @@ def test_range_endpoints_clamp_into_first_and_last_bin():
 def test_terminate_token_occupies_last_position():
     go = tokenize(ActionCommand(terminate=False), SPACE)
     stop = tokenize(ActionCommand(terminate=True), SPACE)
-    assert go.tokens[-1] == SPACE.token_offset
-    assert stop.tokens[-1] == SPACE.token_offset + 1
+    assert go[-1] == SPACE.token_offset
+    assert stop[-1] == SPACE.token_offset + 1
     assert not detokenize(go, SPACE).terminate
     assert detokenize(stop, SPACE).terminate
 
@@ -80,7 +79,7 @@ def test_nonzero_token_offset_round_trip():
     space = default_action_space(bin_count=256, token_offset=700)
     cmd = ActionCommand(v_x=0.5, omega_z=-0.25)
     toks = tokenize(cmd, space)
-    assert all(700 <= t < 700 + 256 for t in toks.tokens[:NUM_CONTINUOUS])
+    assert all(700 <= t < 700 + 256 for t in toks[:NUM_CONTINUOUS])
     out = detokenize(toks, space)
     assert abs(out.v_x - 0.5) <= space.bin_widths[0] / 2.0
     # The same tokens are invalid under a different offset.
@@ -103,18 +102,26 @@ def test_spec_validation_rejects_bad_layouts():
 
 
 def test_token_vector_validation():
-    with pytest.raises(CodecError):
-        ActionTokens((1, 2, 3))  # wrong arity
-    with pytest.raises(CodecError):
-        ActionTokens(tuple([1.5] * 12))  # non-integers
-    bad_term = list(tokenize(ActionCommand(), SPACE).tokens)
+    good = tokenize(ActionCommand(), SPACE)
+    assert type(good) is tuple and all(type(t) is int for t in good)
+    for bad in [
+        good[:3],  # wrong arity
+        good + (SPACE.token_offset,),
+        tuple([1.5] * 12),  # non-integers
+        (True,) + good[1:],  # a bool is not a token
+        (np.int64(good[0]),) + good[1:],  # nor is a numpy integer
+        list(good),  # a list is not a token vector
+    ]:
+        with pytest.raises(CodecError):
+            detokenize(bad, SPACE)
+    bad_term = list(good)
     bad_term[-1] = SPACE.token_offset + 7
     with pytest.raises(CodecError):
-        detokenize(ActionTokens(tuple(bad_term)), SPACE)
-    bad_bin = list(tokenize(ActionCommand(), SPACE).tokens)
+        detokenize(tuple(bad_term), SPACE)
+    bad_bin = list(good)
     bad_bin[0] = SPACE.token_offset + SPACE.bin_count
     with pytest.raises(CodecError):
-        detokenize(ActionTokens(tuple(bad_bin)), SPACE)
+        detokenize(tuple(bad_bin), SPACE)
 
 
 def test_non_finite_values_rejected():
@@ -148,11 +155,11 @@ def test_scalar_codec_matches_its_per_dimension_definition():
                 v = v - math.floor(v)
             expected.append(min(max(v, dim.min), dim.max))
         assert [x.hex() for x in clamped.continuous()] == [x.hex() for x in expected]
-        tokens = tokenize(cmd, space).tokens
+        tokens = tokenize(cmd, space)
         for dim, v, t in zip(space.dimensions, values, tokens):
             k = math.floor((v - dim.min) / ((dim.max - dim.min) / space.bin_count))
             assert t == 17 + min(max(k, 0), space.bin_count - 1)
-        decoded = detokenize(ActionTokens(tokens), space).continuous()
+        decoded = detokenize(tokens, space).continuous()
         assert [x.hex() for x in decoded] == [
             bin_center(dim, t - 17, space.bin_count).hex()
             for dim, t in zip(space.dimensions, tokens)]
@@ -166,10 +173,10 @@ def test_batch_codec_matches_scalar_codec():
     batch_tokens = tokenize_batch(values, term, SPACE)
     for i in range(n):
         cmd = ActionCommand.from_continuous(values[i], terminate=bool(term[i]))
-        assert tuple(batch_tokens[i]) == tokenize(cmd, SPACE).tokens
+        assert tuple(batch_tokens[i]) == tokenize(cmd, SPACE)
     back_values, back_term = detokenize_batch(batch_tokens, SPACE)
     for i in range(n):
-        cmd = detokenize(ActionTokens(tuple(int(t) for t in batch_tokens[i])), SPACE)
+        cmd = detokenize(tuple(batch_tokens[i].tolist()), SPACE)
         assert tuple(back_values[i]) == pytest.approx(cmd.continuous(), abs=1e-12)
         assert back_term[i] == cmd.terminate
 

@@ -318,6 +318,15 @@ def test_import_real_command_reports_counts(tmp_path):
     assert "imported 1" in out
 
 
+def test_a_second_import_real_adds_a_shard(tmp_path):
+    good_episode(tmp_path / "src" / "run-a")
+    for _ in range(2):
+        code, out = run_cli("import-real", "--src", str(tmp_path / "src"),
+                            "--store", str(tmp_path / "store"))
+        assert (code, out) == (0, "imported 1 episodes, skipped 0\n")
+    assert run_cli("validate", "--store", str(tmp_path / "store")) == (0, "store ok\n")
+
+
 def test_validate_exit_codes_follow_store_health(tmp_path):
     collect_small(tmp_path / "store")
     code, out = run_cli("validate", "--store", str(tmp_path / "store"))
@@ -478,8 +487,15 @@ def test_bad_slew_rate_is_a_usage_error(tmp_path, capsys, rate):
     ('{"expert": {"grid_resolution": NaN}}', "grid_resolution must be finite and > 0"),
     ('{"sim": {"camera": {"width": 0}}}', "camera width and height must be >= 1"),
     ('{"sim": {"camera": {"height": -48}}}', "camera width and height must be >= 1"),
+    ('{"sim": {"camera": {"hfov_deg": 0}}}', "camera hfov_deg must be in (0, 180)"),
+    ('{"sim": {"camera": {"hfov_deg": 180}}}', "camera hfov_deg must be in (0, 180)"),
+    ('{"sim": {"camera": {"near_plane": 0}}}', "camera near_plane must be finite and > 0"),
+    ('{"sim": {"arena": [6, -1.5, -3.5, 3.5]}}', "sim arena (x0, x1, y0, y1) must be finite"),
+    ('{"sim": {"arena": [-1e308, 1e308, -3.5, 3.5]}}', "sim arena (x0, x1, y0, y1) must be finite"),
+    ('{"expert": {"grid_resolution": 100}}', "leaves no planning grid cell"),
 ], ids=["resolution-zero", "resolution-negative", "resolution-nan", "width-zero",
-        "height-negative"])
+        "height-negative", "hfov-zero", "hfov-180", "near-plane-zero", "arena-reversed",
+        "arena-extent-overflows", "resolution-beyond-the-arena"])
 def test_a_config_value_that_cannot_work_is_a_usage_error(tmp_path, capsys, text, message):
     bad = tmp_path / "c.json"
     bad.write_text(text)
@@ -489,6 +505,19 @@ def test_a_config_value_that_cannot_work_is_a_usage_error(tmp_path, capsys, text
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: bad config {bad}") and message in err
     assert not (tmp_path / "S").exists()
+
+
+def test_an_int_config_value_is_recorded_as_a_float(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"expert": {"gait_frequency": 3}}')
+    code, _ = run_cli("--config", str(cfg), "collect", "--out", str(tmp_path / "S"),
+                      "--task", "go_to", "--count", "1", "--seed", "5")
+    assert code == 0
+    store = EpisodeStore.open(tmp_path / "S")
+    (record,) = store._iter_records(store.shards[0].name)
+    f = default_action_space().index("f")
+    values = [step["command"]["values"][f] for step in record["steps"]]
+    assert values and all(type(v) is float and v == 3.0 for v in values)
 
 
 def test_default_config_file_bytes_are_pinned(tmp_path):

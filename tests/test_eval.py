@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from quadkit.actions import ActionTokens, default_action_space, detokenize
+from quadkit.actions import ActionCommand, default_action_space, detokenize, tokenize
 from quadkit.config import CameraConfig, RunConfig, SimConfig
 from quadkit.evaluation import (
     KnnPolicy,
@@ -50,7 +50,7 @@ class TerminateImmediately:
 
     def act(self, obs, instruction):
         lo = SPACE.token_offset
-        return ActionTokens(tuple([128] * 11 + [lo + 1]))
+        return tuple([128] * 11 + [lo + 1])
 
 
 class EmitGarbage:
@@ -58,7 +58,7 @@ class EmitGarbage:
         pass
 
     def act(self, obs, instruction):
-        return ActionTokens(tuple([10_000] * 12))
+        return tuple([10_000] * 12)
 
 
 class Crash:
@@ -109,6 +109,44 @@ def test_undecodable_tokens_and_exceptions_are_malformed():
         assert report.overall.buckets["malformed"] == report.overall.budget
 
 
+class EmitEachTick:
+    """Returns ``make(tick)``: in-range token values, in a form that is not a
+    tuple of 12 plain ints."""
+
+    def __init__(self, make):
+        self.make, self.tick = make, 0
+
+    def bind(self, sim):
+        pass
+
+    def act(self, obs, instruction):
+        self.tick += 1
+        return self.make(self.tick)
+
+
+WALK = tokenize(ActionCommand(v_x=0.5), SPACE)
+
+
+def one_list_edited_each_tick():
+    shared = list(WALK)
+
+    def make(tick):
+        shared[0] = WALK[0] + tick % 2
+        return shared
+    return make
+
+
+@pytest.mark.parametrize("make", [
+    one_list_edited_each_tick(),
+    lambda tick: WALK + (SPACE.token_offset,),
+    lambda tick: (True,) + WALK[1:],
+    lambda tick: tuple(np.array(WALK, dtype=np.int64)),
+], ids=["list", "13-tuple", "bool", "numpy-int64"])
+def test_a_token_vector_that_is_not_12_plain_ints_is_malformed(make):
+    report = run_suite(EmitEachTick(make), small_suite(6))
+    assert report.overall.buckets["malformed"] == report.overall.budget
+
+
 @pytest.fixture
 def renders(monkeypatch):
     """The states the rollout loop's frames render."""
@@ -148,8 +186,7 @@ class LookTwiceThenWalk:
         assert first.tobytes() == expected.tobytes()
         self.ticks += 1
         lo = SPACE.token_offset
-        return ActionTokens(tuple([lo + 140] + [lo + 128] * 10
-                                  + [lo + int(self.ticks % 3 == 0)]))
+        return tuple([lo + 140] + [lo + 128] * 10 + [lo + int(self.ticks % 3 == 0)])
 
 
 def test_a_frame_read_twice_renders_once_and_matches_the_live_state(renders):
@@ -182,7 +219,7 @@ class ReadTheImage:
         except RuntimeError:
             if not self.swallow:
                 raise
-        return ActionTokens(tuple([128] * 11 + [1]))
+        return tuple([128] * 11 + [1])
 
 
 @pytest.fixture
@@ -204,10 +241,10 @@ def test_a_render_error_aborts_generate_episode(broken_renderer):
         generate_episode(small_suite(6).entries[0].task, 6)
 
 
-def tokens(v_x_bin: int, terminate: bool = False) -> ActionTokens:
+def tokens(v_x_bin: int, terminate: bool = False) -> tuple[int, ...]:
     """Mid-range bins everywhere but v_x; a v_x bin outside the space is kept."""
     lo = SPACE.token_offset
-    return ActionTokens((lo + v_x_bin,) + (lo + 128,) * 10 + (lo + int(terminate),))
+    return (lo + v_x_bin,) + (lo + 128,) * 10 + (lo + int(terminate),)
 
 
 class Scripted:
@@ -300,7 +337,7 @@ def test_knn_with_k1_replays_memorized_episodes():
         out = policy.act(
             type("Obs", (), {"image": ep.steps[0].image})(), ep.instruction
         )
-        assert out.tokens == ep.steps[0].tokens
+        assert out == ep.steps[0].tokens
 
 
 def test_knn_rejects_bad_k_and_empty_training():
@@ -338,7 +375,7 @@ def test_knn_query_matches_a_full_sort_when_distances_tie(k):
     tied = 0
     for image, t in queries:
         query = _featurize(image, _encode_spec(tasks[t])).astype(np.float32)
-        got = policy.act(SimpleNamespace(image=image), texts[t]).tokens
+        got = policy.act(SimpleNamespace(image=image), texts[t])
         assert got == knn_reference(features, labels, k, query, vocab)
         d2 = np.sort(policy._sq - 2.0 * (policy.features @ query) + float(query @ query))
         tied += bool(d2[k - 1] == d2[k])
@@ -362,13 +399,13 @@ def test_knn_parses_each_episodes_instruction_once(monkeypatch):
                         lambda text: parsed.append(text) or parse(text))
     obs = SimpleNamespace(image=ep.steps[0].image)
     for _ in range(3):
-        assert policy.act(obs, ep.instruction).tokens == ep.steps[0].tokens
+        assert policy.act(obs, ep.instruction) == ep.steps[0].tokens
     assert len(parsed) == 1
     # A failed parse is never memoised: it raises on every call.
     for _ in range(2):
         with pytest.raises(LanguageError):
             policy.act(obs, "do a backflip")
-    assert policy.act(obs, ep.instruction).tokens == ep.steps[0].tokens
+    assert policy.act(obs, ep.instruction) == ep.steps[0].tokens
     policy.bind(None)  # a new episode parses again
     policy.act(obs, ep.instruction)
     assert parsed == [ep.instruction, "do a backflip", "do a backflip", ep.instruction]
@@ -458,7 +495,7 @@ class CheckedKnn:
         image = obs.image
         spec = parse_instruction(instruction).spec
         query = _featurize(image, _encode_spec(spec)).astype(np.float32)
-        self.agree.append(tokens.tokens == knn_reference(
+        self.agree.append(tokens == knn_reference(
             self.policy.features, self.policy.labels, self.policy.k, query, self.vocab))
         self.repeats += image.tobytes() == self.previous
         self.previous = image.tobytes()
@@ -563,7 +600,7 @@ def test_knn_search_breaks_exact_ties_across_groups_by_training_order():
         policy = KnnPolicy(features, labels, k, SPACE)
         for image in images:
             query = _featurize(image, _encode_spec(spec)).astype(np.float32)
-            assert (policy.act(SimpleNamespace(image=image), text).tokens
+            assert (policy.act(SimpleNamespace(image=image), text)
                     == knn_reference(features, labels, k, query, vocab))
 
 
@@ -579,7 +616,7 @@ def test_knn_rows_one_ulp_apart_take_the_full_scan():
     for k in (1, 3):
         policy = KnnPolicy(features, labels, k, SPACE)
         scans = count_scans(policy)
-        assert (policy.act(SimpleNamespace(image=image), text).tokens
+        assert (policy.act(SimpleNamespace(image=image), text)
                 == knn_reference(features, labels, k, row, vocab))
         assert len(scans) == 1
 

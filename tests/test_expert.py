@@ -124,7 +124,7 @@ def test_every_rendered_observation_is_recorded(monkeypatch):
 def test_tokens_match_commands_through_the_codec():
     ep = generate_episode(SKILL_TASKS[Skill.GO_TO], 13)
     for step in ep.steps:
-        assert step.tokens == tokenize(step.command, SPACE).tokens
+        assert step.tokens == tokenize(step.command, SPACE)
 
 
 def test_crawl_actually_lowers_the_body_under_the_bar():

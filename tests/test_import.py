@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from quadkit.actions import default_action_space
-from quadkit.store import EpisodeStore, StoreError, import_real
+from quadkit.store import EpisodeStore, import_real
 from quadkit.store import importer
 from quadkit.store.episodes import ShardWriter
 from quadkit.taxonomy import Skill, Split
@@ -178,8 +178,8 @@ def test_out_of_range_commands_are_clamped_into_the_space(tmp_path):
 def test_reimport_under_a_new_shard_is_token_identical(tmp_path):
     src = tmp_path / "src"
     good_episode(src / "run-a")
-    import_real(src, tmp_path / "store", shard_name="real-000")
-    import_real(src, tmp_path / "store", shard_name="real-001")
+    import_real(src, tmp_path / "store")
+    import_real(src, tmp_path / "store")
 
     store = EpisodeStore.open(tmp_path / "store")
     first = list(store.iter_episodes(shard="real-000"))
@@ -190,9 +190,14 @@ def test_reimport_under_a_new_shard_is_token_identical(tmp_path):
     assert len(shas) == 3
 
 
-def test_duplicate_shard_name_raises(tmp_path):
+def test_each_import_commits_the_lowest_unused_real_shard(tmp_path):
     src = tmp_path / "src"
     good_episode(src / "run-a")
-    import_real(src, tmp_path / "store", shard_name="real-000")
-    with pytest.raises(StoreError):
-        import_real(src, tmp_path / "store", shard_name="real-000")
+    import_real(src, tmp_path / "store")
+    EpisodeStore.open(tmp_path / "store").write_shard("real-002", [])
+    for _ in range(2):
+        assert import_real(src, tmp_path / "store").imported == 1
+    store = EpisodeStore.open(tmp_path / "store")
+    assert [info.name for info in store.shards] == ["real-000", "real-001", "real-002",
+                                                     "real-003"]
+    assert store.validate() == []

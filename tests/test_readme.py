@@ -5,7 +5,7 @@ import io
 import re
 from pathlib import Path
 
-from quadkit.actions import ActionTokens, default_action_space, detokenize
+from quadkit.actions import default_action_space, detokenize
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -21,4 +21,4 @@ def test_quick_tour_prints_what_its_comments_say():
     assert lines[:2] == ["go to the fan slowly with trot gait", "success 13"]
     tokens = namespace["episode"].steps[-1].tokens  # 12 ints, printed as the last line
     assert lines[2:] == [str(tokens)]
-    assert detokenize(ActionTokens(tokens), default_action_space()).terminate
+    assert detokenize(tokens, default_action_space()).terminate

@@ -43,7 +43,7 @@ def make_episode(i: int, *, source: str = "sim", outcome: str = "success",
     steps = [
         Step(
             image=make_image(i * 97 + j if image_seed is None else image_seed),
-            tokens=tokenize(cmd, SPACE).tokens,
+            tokens=tokenize(cmd, SPACE),
             command=cmd,
             pose=(0.1 * j, 0.0, 0.0),
         )
